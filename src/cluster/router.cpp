@@ -10,13 +10,6 @@
 #include "service/service.h"
 #include "service/wire.h"
 
-#ifdef __unix__
-#include <fcntl.h>
-#include <poll.h>
-#include <unistd.h>
-#include <cerrno>
-#endif
-
 namespace s35::cluster {
 
 namespace {
@@ -31,8 +24,32 @@ std::int64_t now_ns() {
       .count();
 }
 
-bool terminal(svc::JobState s) {
-  return s != svc::JobState::kQueued && s != svc::JobState::kRunning;
+svc::PlaneConfig plane_config(const RouterOptions& o) {
+  svc::PlaneConfig c;
+  c.log_tag = "s35-route";
+  c.peer_noun = "node";
+  c.loss_reason = "node connection lost";
+  c.no_capacity = "no reachable nodes remain (all abandoned)";
+  c.beat_ms = o.beat_ms;
+  c.hang_ms = o.hang_ms;
+  c.max_losses = o.max_rejoins;
+  c.max_job_attempts = o.max_job_attempts;
+  c.backoff = o.backoff;
+  c.stop_grace_ms = 1000;
+  return c;
+}
+
+svc::LedgerConfig ledger_config(const RouterOptions& o) {
+  svc::LedgerConfig c;
+  c.queue_capacity = std::max<std::size_t>(1, o.queue_capacity);
+  c.max_points = o.max_points;
+  c.tenancy = o.tenancy;
+  // The directory is shared across nodes, so the ring successor finds the
+  // dead owner's last pass-boundary checkpoint by job id.
+  c.checkpoint_dir = o.checkpoint_dir;
+  c.checkpoint_every = o.checkpoint_every;
+  c.retention = o.terminal_retention;
+  return c;
 }
 
 }  // namespace
@@ -66,404 +83,88 @@ RouterOptions RouterOptions::from_env() {
   return o;
 }
 
-#ifdef __unix__
-
 Router::Router(RouterOptions options)
-    : opts_(std::move(options)),
-      queue_(std::max<std::size_t>(1, opts_.queue_capacity)),
+    : PeerPlane(plane_config(options), ledger_config(options), options.nodes),
+      opts_(std::move(options)),
       plans_(std::max<std::size_t>(1, opts_.plan_cache_entries)),
       ring_(opts_.vnodes) {
   if (opts_.beat_ms < 5) opts_.beat_ms = 5;
   if (opts_.window < 1) opts_.window = 1;
   if (opts_.checkpoint_every < 1) opts_.checkpoint_every = 1;
   if (opts_.terminal_retention < 1) opts_.terminal_retention = 1;
-  governor_.configure(opts_.tenancy);
   if (!opts_.plan_cache_path.empty()) {
     // A corrupt/absent file means a cold cache, never a wrong plan.
     [[maybe_unused]] const fault::Status st = plans_.load(opts_.plan_cache_path);
   }
-  if (::pipe(wake_fds_) != 0) {
-    std::perror("s35-route: wake pipe");
-    wake_fds_[0] = wake_fds_[1] = -1;
-  } else {
-    for (const int fd : wake_fds_)
-      ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-  }
-  stats_.workers = static_cast<int>(opts_.nodes.size());
-  slots_.resize(opts_.nodes.size());
-  for (std::size_t i = 0; i < opts_.nodes.size(); ++i) {
-    slots_[i].index = static_cast<int>(i);
-    slots_[i].address = opts_.nodes[i];
-  }
-  monitor_ = std::thread(&Router::monitor_loop, this);
+  start();
 }
 
 Router::~Router() { shutdown(); }
 
-void Router::wake() {
-  if (wake_fds_[1] >= 0) {
-    const char b = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &b, 1);
+void Router::shutdown() {
+  if (stop() && !opts_.plan_cache_path.empty()) {
+    [[maybe_unused]] const fault::Status st = plans_.save(opts_.plan_cache_path);
   }
 }
 
-Router::NodeSlot* Router::slot_by_address(const std::string& address) {
-  for (NodeSlot& n : slots_)
-    if (n.address == address) return &n;
-  return nullptr;
+std::uint64_t Router::plan_version(const svc::PlanKey& key) const {
+  const auto it = plan_ver_by_key_.find(key.hash());
+  return it != plan_ver_by_key_.end() ? it->second : 0;
 }
 
-fault::Expected<std::uint64_t> Router::submit(const svc::JobSpec& spec) {
-  if (const fault::Status st = svc::validate_spec(spec, opts_.max_points);
-      !st.ok()) {
+bool Router::open_peer(Peer& n) {
+  std::string host;
+  int port = 0;
+  if (!split_host_port(n.name, &host, &port)) {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rejected;
-    return st;
+    n.abandoned = true;
+    return false;
   }
-  shed_expired_queued();
-
-  const double cost = svc::predicted_job_cost(spec);
-  std::uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shut_down_ || draining_.load(std::memory_order_acquire) ||
-        queue_.closed()) {
-      ++stats_.rejected;
-      return fault::Status(fault::ErrorCode::kUnavailable, "service shut down");
-    }
-    const std::int64_t now = now_ns();
-    if (const svc::AdmitDecision d = governor_.admit(
-            spec, cost, queue_.size() + retry_.size() + holdback_.size(),
-            queue_.capacity(), now);
-        !d.ok()) {
-      ++stats_.rejected;
-      return fault::Status(fault::ErrorCode::kUnavailable,
-                           svc::format_rejection(d.reason,
-                                                 "tenant admission rejected",
-                                                 d.retry_after_ms));
-    }
-    id = next_id_++;
-    auto rec = std::make_unique<JobRec>();
-    rec->spec = spec;
-    // The router — never the client — chooses the failover checkpoint
-    // location; the directory is shared across nodes, so the ring successor
-    // finds the dead owner's last pass-boundary checkpoint by job id.
-    if (!opts_.checkpoint_dir.empty()) {
-      rec->spec.checkpoint_path =
-          opts_.checkpoint_dir + "/job-" + std::to_string(id) + ".ckpt";
-      rec->spec.checkpoint_every = opts_.checkpoint_every;
-    }
-    rec->submit_ns = now;
-    const std::int64_t deadline_ns =
-        spec.deadline_ms > 0 ? now + spec.deadline_ms * 1'000'000 : 0;
-    const svc::QueueItem item{id,
-                              spec.priority,
-                              id,
-                              spec.shape_key(),
-                              spec.tenant_key(),
-                              static_cast<std::uint32_t>(spec.eff_weight()),
-                              cost,
-                              deadline_ns};
-    if (!queue_.try_push(item)) {
-      const svc::AdmitDecision d = governor_.queue_full(spec, cost, now);
-      ++stats_.rejected;
-      return fault::Status(
-          fault::ErrorCode::kUnavailable,
-          svc::format_rejection(d.reason, "queue full", d.retry_after_ms));
-    }
-    jobs_[id] = std::move(rec);
-    ++active_jobs_;
-    ++stats_.submitted;
-  }
-  wake();
-  return id;
-}
-
-bool Router::cancel(std::uint64_t id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second->state)) return false;
-    it->second->cancel_requested = true;
-  }
-  wake();
+  const int fd = tcp_connect(host, port, opts_.connect_timeout_ms);
+  if (fd < 0) return false;
+  n.fd = fd;  // live stays false until the node's kHello confirms the protocol
   return true;
 }
 
-std::optional<svc::JobInfo> Router::info(std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  svc::JobInfo out;
-  out.id = id;
-  out.state = it->second->state;
-  out.spec = it->second->spec;
-  out.result = it->second->result;
-  return out;
+void Router::detect_losses(bool) {
+  const std::int64_t now = now_ns();
+  for (Peer& n : peers_)
+    if (n.fd >= 0 && !n.live &&
+        (now - n.opened_ns) / 1'000'000 > std::max(100, opts_.connect_timeout_ms))
+      lose(n, false);
 }
 
-std::optional<svc::JobInfo> Router::wait(std::uint64_t id,
-                                         std::int64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (jobs_.find(id) == jobs_.end()) return std::nullopt;
-  // Re-find on every evaluation: retention may erase a terminal record
-  // while this thread sleeps on the condition variable.
-  const auto pred = [&] {
-    const auto it = jobs_.find(id);
-    return it == jobs_.end() || terminal(it->second->state);
-  };
-  if (timeout_ms < 0) {
-    jobs_cv_.wait(lock, pred);
-  } else if (!jobs_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                                pred)) {
-    return std::nullopt;
-  }
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;  // terminal but aged out
-  svc::JobInfo out;
-  out.id = id;
-  out.state = it->second->state;
-  out.spec = it->second->spec;
-  out.result = it->second->result;
-  return out;
-}
-
-bool Router::drain(std::int64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto pred = [&] { return active_jobs_ == 0; };
-  if (timeout_ms < 0) {
-    jobs_cv_.wait(lock, pred);
-    return true;
-  }
-  return jobs_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), pred);
-}
-
-svc::ServiceStats Router::stats() const {
-  svc::ServiceStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
-    out.queue_depth = queue_.size() + retry_.size() + holdback_.size();
-    out.in_flight = 0;
-    out.workers_live = 0;
-    const std::int64_t now = now_ns();
-    for (const NodeSlot& n : slots_) {
-      if (!n.live) continue;
-      ++out.workers_live;
-      out.in_flight += n.jobs.size();
-      const std::int64_t age_ms = (now - n.beat_ns) / 1'000'000;
-      out.max_heartbeat_age_ms = std::max(out.max_heartbeat_age_ms, age_ms);
-    }
-  }
-  out.tenancy = governor_.enabled();
-  out.quarantined = governor_.quarantined_total();
-  out.quarantine_trips = governor_.quarantine_trips();
-  out.tenants = governor_.snapshot();
-  if (!out.tenants.empty()) {
-    for (const auto& [tenant, deficit] : queue_.drr_snapshot())
-      for (svc::TenantCounters& c : out.tenants)
-        if (c.key == tenant) c.deficit = deficit;
-  }
-  return out;
-}
-
-void Router::record_terminal(std::uint64_t id, svc::JobState state,
-                             const svc::JobResult& r) {
-  // Exactly-once: the first terminal transition wins; duplicates (a
-  // failover racing a slow socket) are dropped here — including a late
-  // duplicate for a record retention already evicted (find fails).
-  bool was_running = false;
-  svc::JobSpec spec;  // copied: retention may erase the rec after unlock
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second->state)) return;
-    JobRec& rec = *it->second;
-    was_running = rec.state == svc::JobState::kRunning;
-    spec = rec.spec;
-    rec.state = state;
-    rec.result = r;
-    if (rec.node >= 0) {
-      auto& v = slots_[static_cast<std::size_t>(rec.node)].jobs;
-      v.erase(std::remove(v.begin(), v.end(), id), v.end());
-      rec.node = -1;
-    }
-    --active_jobs_;
-    switch (state) {
-      case svc::JobState::kDone:
-        ++stats_.completed;
-        break;
-      case svc::JobState::kFailed:
-        ++stats_.failed;
-        break;
-      case svc::JobState::kCancelled:
-        ++stats_.cancelled;
-        break;
-      case svc::JobState::kExpired:
-        ++stats_.expired;
-        break;
-      default:
-        break;
-    }
-    if (r.batched) ++stats_.batched;
-    if (r.plan_cache_hit)
-      ++stats_.plan_hits;
-    else if (state == svc::JobState::kDone)
-      ++stats_.plan_misses;
-    if (rec.dispatch_ns > 0)
-      stats_.total_wait_s +=
-          static_cast<double>(rec.dispatch_ns - rec.submit_ns) * 1e-9;
-    stats_.total_run_s += r.run_s;
-    // Bounded retention: keep the last terminal_retention terminal records
-    // queryable, then drop — a long-lived router must not grow per
-    // submitted job forever.
-    terminal_order_.push_back(id);
-    while (terminal_order_.size() > opts_.terminal_retention) {
-      jobs_.erase(terminal_order_.front());
-      terminal_order_.pop_front();
-    }
-  }
-  governor_.note_finished(spec, was_running, state);
-  // The shared-directory checkpoint exists only to seed failover; once the
-  // job is terminal it can never be dispatched again, so unlink it.
-  if (!spec.checkpoint_path.empty()) ::unlink(spec.checkpoint_path.c_str());
-  jobs_cv_.notify_all();
-}
-
-void Router::failover(std::uint64_t id, const char* why) {
-  bool abandoned = false;
-  svc::AdmitDecision quarantine;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second->state)) return;
-    JobRec& rec = *it->second;
-    if (rec.attempts >= opts_.max_job_attempts) {
-      abandoned = true;
-    } else if (quarantine = governor_.quarantine_check(rec.spec, now_ns());
-               !quarantine.ok()) {
-      // Poison quarantine: this (tenant, shape) keeps killing nodes. Fail
-      // fast instead of burning the remaining attempts on the ring.
-    } else {
-      // Resume from the last durable pass-boundary checkpoint in the shared
-      // directory; a missing or unusable file degrades to a fresh (still
-      // bit-exact) start on the ring successor.
-      rec.spec.resume = !rec.spec.checkpoint_path.empty();
-      rec.state = svc::JobState::kQueued;
-      rec.node = -1;
-      retry_.push_back(id);
-      governor_.note_requeued(rec.spec);
-      ++stats_.failovers;
-      ++stats_.redispatched;
-    }
-  }
-  if (abandoned) {
-    svc::JobResult r;
-    r.error = fault::ErrorCode::kUnavailable;
-    r.message = std::string("job abandoned after ") +
-                std::to_string(opts_.max_job_attempts) +
-                " dispatch attempts — last node loss: " + why;
-    record_terminal(id, svc::JobState::kFailed, r);
-  } else if (!quarantine.ok()) {
-    svc::JobResult r;
-    r.error = fault::ErrorCode::kUnavailable;
-    r.message = svc::format_rejection(
-        svc::AdmitReason::kQuarantined,
-        std::string("poison job quarantined — last node loss: ") + why,
-        quarantine.retry_after_ms);
-    record_terminal(id, svc::JobState::kFailed, r);
-  }
-}
-
-void Router::on_hello(NodeSlot& n, const std::string& payload) {
+void Router::on_hello(Peer& n, const std::string& payload) {
   std::int64_t advertised = 0;
   json::get_int(payload, "jobs", &advertised);
   const std::int64_t now = now_ns();
-  bool rejoin = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    rejoin = n.rejoins > 0;
     n.live = true;
     n.drained = false;
-    n.window = advertised > 0
-                   ? std::min(opts_.window, static_cast<int>(advertised))
-                   : opts_.window;
+    n.window = advertised > 0 ? std::min(opts_.window, static_cast<int>(advertised))
+                              : opts_.window;
     n.progress_ns = now;
     n.beat_ns = now;
-    if (rejoin) ++stats_.restarts;
+    if (n.losses > 0) ++counters_.restarts;  // a rejoin
   }
-  ring_.add(n.address);
+  ring_.add(n.name);
   // Warm the (re)joined node with the full authoritative plan cache, so a
   // plan tuned anywhere is served from cache everywhere — including on a
   // node that was dead when the plan was first broadcast.
   for (const svc::PlanCache::Entry& e : plans_.entries()) {
-    std::uint64_t ver = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = plan_ver_by_key_.find(e.key.hash());
-      ver = it != plan_ver_by_key_.end() ? it->second : 0;
-    }
     if (!wire::write_frame(n.fd, wire::FrameType::kPlanPush,
-                           wire::plan_entry_to_json(e.key, e.plan, ver)))
+                           wire::plan_entry_to_json(e.key, e.plan, plan_version(e.key))))
       break;  // EOF will surface through the normal read path
   }
 }
 
-void Router::on_result(NodeSlot& n, const std::string& payload) {
-  std::uint64_t id = 0;
-  svc::JobState state = svc::JobState::kFailed;
-  svc::JobResult r;
-  if (!wire::result_from_json(payload, &id, &state, &r)) return;
-  bool mine = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    mine = std::find(n.jobs.begin(), n.jobs.end(), id) != n.jobs.end();
-  }
-  if (!mine) return;  // stale frame from a previous assignment
-
-  // Integrity escalation: the node's in-process ladder gave up; its address
-  // space is not trusted anymore. Fail the job over and recycle the
-  // connection — the node re-dials through rejoin backoff, and placement
-  // avoids it meanwhile. (The router cannot restart a remote process; the
-  // operator or a per-machine supervisor owns that.)
-  if (state == svc::JobState::kFailed &&
-      r.error == fault::ErrorCode::kSdcDetected) {
-    bool exhausted = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.sdc_escalations;
-      const auto it = jobs_.find(id);
-      exhausted =
-          it == jobs_.end() || it->second->attempts >= opts_.max_job_attempts;
-      auto& v = n.jobs;
-      v.erase(std::remove(v.begin(), v.end(), id), v.end());
-      const auto jt = jobs_.find(id);
-      if (jt != jobs_.end() && jt->second->node == n.index)
-        jt->second->node = -1;
-    }
-    if (exhausted) {
-      record_terminal(id, state, r);
-    } else {
-      failover(id, "SDC escalation");
-    }
-    node_down(n, true);  // expected: no death counters, immediate redial
-    return;
-  }
-  record_terminal(id, state, r);
-}
-
-void Router::on_plan_pull(NodeSlot& n, const std::string& payload) {
+void Router::on_plan_pull(Peer& n, const std::string& payload) {
   svc::PlanKey key;
   if (!wire::plan_key_from_json(payload, &key)) return;
   if (const auto plan = plans_.lookup(key)) {
-    std::uint64_t ver = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = plan_ver_by_key_.find(key.hash());
-      ver = it != plan_ver_by_key_.end() ? it->second : 0;
-    }
     wire::write_frame(n.fd, wire::FrameType::kPlanPush,
-                      wire::plan_entry_to_json(key, *plan, ver));
+                      wire::plan_entry_to_json(key, *plan, plan_version(key)));
   } else {
     // Explicit miss so the node's bounded wait ends now, not at timeout.
     std::string s = wire::plan_key_to_json(key);
@@ -472,7 +173,7 @@ void Router::on_plan_pull(NodeSlot& n, const std::string& payload) {
   }
 }
 
-void Router::on_plan_push(NodeSlot& n, const std::string& payload) {
+void Router::on_plan_push(Peer& n, const std::string& payload) {
   svc::PlanKey key;
   svc::CachedPlan plan;
   std::uint64_t ver = 0;
@@ -480,49 +181,23 @@ void Router::on_plan_push(NodeSlot& n, const std::string& payload) {
   // First tune wins: if the key is already stamped, correct the sender with
   // the authoritative entry instead of forking plan history.
   if (const auto have = plans_.lookup(key)) {
-    std::uint64_t have_ver = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = plan_ver_by_key_.find(key.hash());
-      have_ver = it != plan_ver_by_key_.end() ? it->second : 0;
-    }
     wire::write_frame(n.fd, wire::FrameType::kPlanPush,
-                      wire::plan_entry_to_json(key, *have, have_ver));
+                      wire::plan_entry_to_json(key, *have, plan_version(key)));
     return;
   }
-  std::uint64_t stamped = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stamped = ++plan_ver_;
-    plan_ver_by_key_[key.hash()] = stamped;
-  }
+  const std::uint64_t stamped = ++plan_ver_;
+  plan_ver_by_key_[key.hash()] = stamped;
   plans_.insert(key, plan);
   const std::string entry = wire::plan_entry_to_json(key, plan, stamped);
-  for (NodeSlot& other : slots_)
+  for (const Peer& other : peers_)
     if (other.live && other.fd >= 0 && other.index != n.index)
       wire::write_frame(other.fd, wire::FrameType::kPlanPush, entry);
 }
 
-void Router::handle_frame(NodeSlot& n, std::uint32_t type,
-                          const std::string& payload) {
-  switch (static_cast<wire::FrameType>(type)) {
+void Router::on_frame(Peer& n, wire::FrameType type, const std::string& payload) {
+  switch (type) {
     case wire::FrameType::kHello:
       on_hello(n, payload);
-      break;
-    case wire::FrameType::kBeat: {
-      std::int64_t p = 0;
-      const std::int64_t now = now_ns();
-      std::lock_guard<std::mutex> lock(mu_);
-      n.beat_ns = now;
-      if (json::get_int(payload, "progress", &p) &&
-          static_cast<std::uint64_t>(p) != n.progress) {
-        n.progress = static_cast<std::uint64_t>(p);
-        n.progress_ns = now;
-      }
-      break;
-    }
-    case wire::FrameType::kResult:
-      on_result(n, payload);
       break;
     case wire::FrameType::kPlanPull:
       on_plan_pull(n, payload);
@@ -537,178 +212,25 @@ void Router::handle_frame(NodeSlot& n, std::uint32_t type,
       n.drained = true;
       break;
     }
-    case wire::FrameType::kDrained: {
-      std::lock_guard<std::mutex> lock(mu_);
-      n.drained = true;
-      break;
-    }
     default:
       break;
   }
 }
 
-void Router::node_down(NodeSlot& n, bool expected) {
-  // Deliver-before-declare: drain every frame the node managed to write
-  // before the connection died. A completed result in the socket means the
-  // job is done — failing it over would run it twice.
-  if (n.fd >= 0) {
-    std::vector<wire::Frame> frames;
-    wire::drain_frames(n.fd, &n.acc, &frames);
-    for (const wire::Frame& f : frames)
-      handle_frame(n, static_cast<std::uint32_t>(f.type), f.payload);
-    ::close(n.fd);
-  }
-  std::vector<std::uint64_t> lost;
-  bool poison = false;
-  svc::JobSpec poison_spec;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const bool was_live = n.live;
-    n.fd = -1;
-    n.live = false;
-    n.acc.clear();
-    lost.swap(n.jobs);
-    if (lost.size() == 1 && !expected) {
-      // Unambiguous poison attribution: exactly one job was in flight when
-      // the node died. With several in flight the signal is ambiguous and
-      // the breaker is not fed — a flaky node must not indict every tenant
-      // that happened to be scheduled on it.
-      const auto it = jobs_.find(lost.front());
-      if (it != jobs_.end() && !terminal(it->second->state)) {
-        poison = true;
-        poison_spec = it->second->spec;
-      }
-    }
-    if (!expected) {
-      // A post-hello connection loss is a node death; a connection that
-      // never said hello (silent dial, or a redial that raced the dying
-      // process's teardown and EOF'd immediately) is a failed dial — it
-      // advances the rejoin counter toward abandonment but must not
-      // inflate the death statistics.
-      if (was_live) ++stats_.worker_deaths;
-      ++n.rejoins;
-    }
-    if (stopping_.load(std::memory_order_acquire)) {
-      n.reconnect_at_ns = 0;
-    } else if (n.rejoins > static_cast<std::uint64_t>(opts_.max_rejoins)) {
-      n.abandoned = true;
-      std::fprintf(stderr, "s35-route: node %s abandoned after %llu losses\n",
-                   n.address.c_str(),
-                   static_cast<unsigned long long>(n.rejoins - 1));
-    } else {
-      const auto delay = fault::backoff_delay_jittered(
-          opts_.backoff,
-          n.rejoins > 0 ? static_cast<int>(n.rejoins - 1) : 0,
-          static_cast<std::uint64_t>(n.index));
-      n.reconnect_at_ns =
-          now_ns() +
-          std::chrono::duration_cast<std::chrono::nanoseconds>(delay).count();
-    }
-  }
-  ring_.remove(n.address);
-  if (poison) governor_.note_poison(poison_spec, now_ns());
-  for (const std::uint64_t id : lost) failover(id, "node connection lost");
-}
-
-void Router::try_connect(NodeSlot& n) {
-  std::string host;
-  int port = 0;
-  if (!split_host_port(n.address, &host, &port)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    n.abandoned = true;
-    return;
-  }
-  const int fd = tcp_connect(host, port, opts_.connect_timeout_ms);
-  const std::int64_t now = now_ns();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd < 0) {
-    ++n.rejoins;
-    if (n.rejoins > static_cast<std::uint64_t>(opts_.max_rejoins)) {
-      n.abandoned = true;
-      std::fprintf(stderr, "s35-route: node %s unreachable, abandoned\n",
-                   n.address.c_str());
-    } else {
-      const auto delay = fault::backoff_delay_jittered(
-          opts_.backoff, static_cast<int>(n.rejoins - 1),
-          static_cast<std::uint64_t>(n.index));
-      n.reconnect_at_ns =
-          now +
-          std::chrono::duration_cast<std::chrono::nanoseconds>(delay).count();
-    }
-    return;
-  }
-  n.fd = fd;
-  n.acc.clear();
-  n.dial_ns = now;
-  n.beat_ns = now;
-  n.progress_ns = now;
-  n.reconnect_at_ns = 0;
-  // live stays false until the node's kHello confirms the protocol.
-}
-
 bool Router::place(std::uint64_t id) {
-  svc::JobSpec spec;
-  bool cancelled = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second->state != svc::JobState::kQueued)
-      return true;  // already terminal/running; nothing to hold back
-    if (it->second->cancel_requested) {
-      it->second->cancel_requested = false;
-      cancelled = true;
-    }
-    spec = it->second->spec;
-  }
-  if (cancelled) {
-    svc::JobResult r;
-    r.message = "cancelled while queued";
-    record_terminal(id, svc::JobState::kCancelled, r);
-    return true;
-  }
-
+  const auto job = ledger_.info(id);
+  if (!job || job->state != svc::JobState::kQueued)
+    return true;  // already terminal/running; nothing to hold back
   // Strict shape affinity: the ring owner or nothing. Holding a job back
   // until its owner has window room is what keeps repeat shapes on the node
   // whose plan cache and warm grids already serve them.
-  const std::string owner = ring_.owner(spec.shape_key());
-  if (owner.empty()) return false;  // no live nodes yet
-  NodeSlot* n = slot_by_address(owner);
-  if (n == nullptr || !n->live || n->fd < 0) return false;
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (static_cast<int>(n->jobs.size()) >= n->window) return false;
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second->state != svc::JobState::kQueued)
-      return true;
-    JobRec& rec = *it->second;
-    rec.state = svc::JobState::kRunning;
-    rec.node = n->index;
-    rec.dispatch_ns = now_ns();
-    ++rec.attempts;
-    n->jobs.push_back(id);
-    if (n->jobs.size() == 1) n->progress_ns = now_ns();
-    spec = rec.spec;
-    governor_.note_started(rec.spec);
-  }
-
-  if (!wire::write_frame(n->fd, wire::FrameType::kSubmit,
-                         wire::spec_to_json(id, spec))) {
-    // Socket already broken: undo the assignment; the read path will see
-    // the EOF and the job fails over through the normal path.
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it != jobs_.end() && it->second->state == svc::JobState::kRunning) {
-      it->second->state = svc::JobState::kQueued;
-      it->second->node = -1;
-      retry_.push_back(id);
-      // Undo note_started too (as failover() does) or the tenant's running
-      // count leaks +1 every time — the next placement re-notes the start.
-      governor_.note_requeued(it->second->spec);
-    }
-    auto& v = n->jobs;
-    v.erase(std::remove(v.begin(), v.end(), id), v.end());
-  }
+  const std::string owner = ring_.owner(job->spec.shape_key());
+  const auto n = std::find_if(peers_.begin(), peers_.end(),
+                              [&](const Peer& p) { return p.name == owner; });
+  if (owner.empty() || n == peers_.end() || !n->live || n->fd < 0 ||
+      static_cast<int>(n->jobs.size()) >= n->window)
+    return false;
+  assign(*n, id);
   return true;
 }
 
@@ -716,322 +238,20 @@ void Router::dispatch() {
   // Failed-over jobs first (their checkpoints are cooling), then jobs held
   // back waiting for their owner's window, then fresh queue pops bounded by
   // the cluster's free capacity.
-  std::deque<std::uint64_t> work;
+  std::vector<std::uint64_t> work = ledger_.take_parked();
   std::size_t free = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    work.swap(retry_);
-    for (const std::uint64_t id : holdback_) work.push_back(id);
-    holdback_.clear();
-    for (const NodeSlot& n : slots_)
-      if (n.live && static_cast<int>(n.jobs.size()) < n.window)
-        free += static_cast<std::size_t>(n.window) - n.jobs.size();
-  }
+  for (const Peer& n : peers_)
+    if (n.live && static_cast<int>(n.jobs.size()) < n.window)
+      free += static_cast<std::size_t>(n.window) - n.jobs.size();
   while (work.size() < free) {
-    const auto item = queue_.try_pop(0);
-    if (!item) break;
-    work.push_back(item->id);
+    const auto id = ledger_.next(0);
+    if (!id) break;
+    work.push_back(*id);
   }
-  std::deque<std::uint64_t> held;
+  std::vector<std::uint64_t> held;
   for (const std::uint64_t id : work)
     if (!place(id)) held.push_back(id);
-  if (!held.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = held.rbegin(); it != held.rend(); ++it)
-      holdback_.push_front(*it);
-  }
+  ledger_.hold(held);
 }
-
-void Router::shed_expired_queued() {
-  const std::vector<std::uint64_t> expired = queue_.take_expired(now_ns());
-  for (const std::uint64_t id : expired) {
-    svc::JobSpec spec;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = jobs_.find(id);
-      if (it == jobs_.end() || terminal(it->second->state)) continue;
-      spec = it->second->spec;
-      ++stats_.shed_expired;
-    }
-    governor_.note_shed(spec);
-    svc::JobResult r;
-    r.message = "deadline expired while queued; shed";
-    record_terminal(id, svc::JobState::kExpired, r);
-  }
-}
-
-void Router::fail_active_jobs(const char* why) {
-  std::vector<std::uint64_t> ids;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [id, rec] : jobs_)
-      if (!terminal(rec->state)) ids.push_back(id);
-    retry_.clear();
-    holdback_.clear();
-  }
-  for (const std::uint64_t id : ids) {
-    queue_.remove(id);
-    svc::JobResult r;
-    r.error = fault::ErrorCode::kUnavailable;
-    r.message = why;
-    record_terminal(id, svc::JobState::kFailed, r);
-  }
-}
-
-void Router::monitor_loop() {
-  std::vector<pollfd> pfds;
-  std::vector<int> slot_of;  // pfds index -> slot index (-1 = wake pipe)
-
-  while (true) {
-    const bool stopping = stopping_.load(std::memory_order_acquire);
-
-    // Dial nodes that are due (initial connect and rejoin backoff).
-    if (!stopping) {
-      const std::int64_t now = now_ns();
-      for (NodeSlot& n : slots_) {
-        bool due = false;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          due = n.fd < 0 && !n.abandoned && now >= n.reconnect_at_ns;
-        }
-        if (due) try_connect(n);
-      }
-    }
-
-    pfds.clear();
-    slot_of.clear();
-    if (wake_fds_[0] >= 0) {
-      pfds.push_back({wake_fds_[0], POLLIN, 0});
-      slot_of.push_back(-1);
-    }
-    for (const NodeSlot& n : slots_)
-      if (n.fd >= 0) {
-        pfds.push_back({n.fd, POLLIN, 0});
-        slot_of.push_back(n.index);
-      }
-
-    ::poll(pfds.data(), pfds.size(), std::max(5, opts_.beat_ms / 2));
-
-    for (std::size_t i = 0; i < pfds.size(); ++i) {
-      if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      if (slot_of[i] < 0) {
-        char buf[64];
-        while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
-        }
-        continue;
-      }
-      NodeSlot& n = slots_[static_cast<std::size_t>(slot_of[i])];
-      bool down = false;
-      for (;;) {
-        if (n.fd < 0) break;
-        wire::Frame f;
-        const int got = wire::read_frame(n.fd, &n.acc, &f, 0);
-        if (got == 1) {
-          handle_frame(n, static_cast<std::uint32_t>(f.type), f.payload);
-          continue;
-        }
-        down = got < 0;
-        break;
-      }
-      if (down) node_down(n, n.drained || stopping);
-    }
-
-    const std::int64_t now = now_ns();
-
-    // A connection that never said hello within the dial timeout is dead.
-    for (NodeSlot& n : slots_) {
-      bool stale = false;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        stale = n.fd >= 0 && !n.live &&
-                (now - n.dial_ns) / 1'000'000 >
-                    std::max(100, opts_.connect_timeout_ms);
-      }
-      if (stale) node_down(n, false);
-    }
-
-    // Hang detection: progress staleness, not beat arrival — a node whose
-    // heartbeat thread beats while its jobs are frozen is still hung.
-    if (opts_.hang_ms > 0) {
-      for (NodeSlot& n : slots_) {
-        bool hung = false;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          hung = n.live && !n.jobs.empty() &&
-                 (now - n.progress_ns) / 1'000'000 > opts_.hang_ms;
-          if (hung) ++stats_.hang_kills;
-        }
-        if (hung) {
-          std::fprintf(stderr,
-                       "s35-route: node %s hung (progress stale %d ms), "
-                       "disconnecting\n",
-                       n.address.c_str(), opts_.hang_ms);
-          node_down(n, false);
-        }
-      }
-    }
-
-    // Forward cancels for running jobs; cancel queued ones directly.
-    {
-      std::vector<std::pair<std::uint64_t, int>> running_cancels;
-      std::vector<std::uint64_t> queued_cancels;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (auto& [id, rec] : jobs_) {
-          if (!rec->cancel_requested || terminal(rec->state)) continue;
-          if (rec->state == svc::JobState::kRunning && rec->node >= 0) {
-            running_cancels.emplace_back(id, rec->node);
-            rec->cancel_requested = false;
-          } else if (rec->state == svc::JobState::kQueued) {
-            queued_cancels.push_back(id);
-            rec->cancel_requested = false;
-          }
-        }
-      }
-      for (const auto& [id, slot] : running_cancels) {
-        const NodeSlot& n = slots_[static_cast<std::size_t>(slot)];
-        if (n.live && n.fd >= 0)
-          wire::write_frame(n.fd, wire::FrameType::kCancel,
-                            "{\"job\":" + std::to_string(id) + "}");
-      }
-      for (const std::uint64_t id : queued_cancels) {
-        bool held = queue_.remove(id);
-        if (!held) {
-          std::lock_guard<std::mutex> lock(mu_);
-          const auto it = std::find(holdback_.begin(), holdback_.end(), id);
-          if (it != holdback_.end()) {
-            holdback_.erase(it);
-            held = true;
-          }
-        }
-        if (held) {
-          svc::JobResult r;
-          r.message = "cancelled while queued";
-          record_terminal(id, svc::JobState::kCancelled, r);
-        } else {
-          std::lock_guard<std::mutex> lock(mu_);
-          const auto it = jobs_.find(id);
-          if (it != jobs_.end() &&
-              it->second->state == svc::JobState::kQueued)
-            it->second->cancel_requested = true;  // retry_ entry; re-checked
-        }
-      }
-    }
-
-    if (!stopping) shed_expired_queued();
-    if (!stopping) dispatch();
-
-    // No execution capacity left? Fail what remains instead of hanging
-    // clients forever.
-    {
-      bool any_capacity = false;
-      std::size_t active = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const NodeSlot& n : slots_)
-          if (!n.abandoned) any_capacity = true;
-        active = active_jobs_;
-      }
-      if (!any_capacity && active > 0)
-        fail_active_jobs("no reachable nodes remain (all abandoned)");
-    }
-
-    if (stopping) {
-      // Graceful detach: every job is already terminal (shutdown drained
-      // first). Ask nodes to drain this router's work, give them a moment
-      // to acknowledge, then disconnect. The nodes keep running.
-      for (NodeSlot& n : slots_)
-        if (n.live && n.fd >= 0)
-          wire::write_frame(n.fd, wire::FrameType::kDrain, "{}");
-      const std::int64_t deadline = now_ns() + 1'000'000'000ll;  // 1 s
-      while (now_ns() < deadline) {
-        bool pending = false;
-        for (NodeSlot& n : slots_) {
-          if (n.fd < 0 || !n.live) continue;
-          wire::Frame f;
-          while (n.fd >= 0 && wire::read_frame(n.fd, &n.acc, &f, 0) == 1)
-            handle_frame(n, static_cast<std::uint32_t>(f.type), f.payload);
-          std::lock_guard<std::mutex> lock(mu_);
-          if (!n.drained) pending = true;
-        }
-        if (!pending) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-      for (NodeSlot& n : slots_) {
-        if (n.fd >= 0) ::close(n.fd);
-        n.fd = -1;
-        n.live = false;
-        ring_.remove(n.address);
-      }
-      return;
-    }
-  }
-}
-
-void Router::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shut_down_) return;
-    shut_down_ = true;
-  }
-  draining_.store(true, std::memory_order_release);
-  queue_.close();  // stops admission; queued items stay dispatchable
-  wake();
-  // Graceful drain: every accepted job reaches a terminal state while the
-  // monitor keeps dispatching, failing over, and redialing nodes.
-  drain(-1);
-  stopping_.store(true, std::memory_order_release);
-  wake();
-  if (monitor_.joinable()) monitor_.join();
-  if (!opts_.plan_cache_path.empty()) {
-    [[maybe_unused]] const fault::Status st = plans_.save(opts_.plan_cache_path);
-  }
-  if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
-  if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
-  wake_fds_[0] = wake_fds_[1] = -1;
-}
-
-#else  // !__unix__
-
-Router::Router(RouterOptions options)
-    : opts_(std::move(options)), queue_(1), plans_(1), ring_(1) {
-  std::fprintf(stderr, "s35-route: cluster routing requires POSIX\n");
-}
-Router::~Router() = default;
-fault::Expected<std::uint64_t> Router::submit(const svc::JobSpec&) {
-  return fault::Status(fault::ErrorCode::kUnavailable,
-                       "cluster routing requires POSIX");
-}
-bool Router::cancel(std::uint64_t) { return false; }
-std::optional<svc::JobInfo> Router::info(std::uint64_t) const {
-  return std::nullopt;
-}
-std::optional<svc::JobInfo> Router::wait(std::uint64_t, std::int64_t) {
-  return std::nullopt;
-}
-bool Router::drain(std::int64_t) { return true; }
-svc::ServiceStats Router::stats() const { return {}; }
-void Router::shutdown() {}
-void Router::monitor_loop() {}
-void Router::try_connect(NodeSlot&) {}
-void Router::handle_frame(NodeSlot&, std::uint32_t, const std::string&) {}
-void Router::on_hello(NodeSlot&, const std::string&) {}
-void Router::on_result(NodeSlot&, const std::string&) {}
-void Router::on_plan_pull(NodeSlot&, const std::string&) {}
-void Router::on_plan_push(NodeSlot&, const std::string&) {}
-void Router::node_down(NodeSlot&, bool) {}
-void Router::failover(std::uint64_t, const char*) {}
-void Router::dispatch() {}
-bool Router::place(std::uint64_t) { return true; }
-void Router::record_terminal(std::uint64_t, svc::JobState,
-                             const svc::JobResult&) {}
-void Router::fail_active_jobs(const char*) {}
-void Router::shed_expired_queued() {}
-void Router::wake() {}
-Router::NodeSlot* Router::slot_by_address(const std::string&) {
-  return nullptr;
-}
-
-#endif
 
 }  // namespace s35::cluster

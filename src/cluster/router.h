@@ -3,9 +3,9 @@
 // The third JobBackend, one level above the Supervisor: where the
 // supervisor forks worker processes on one machine, the router connects to
 // `s35 serve --tcp` nodes over the cluster transport (tcp.h) and
-// multiplexes client jobs across them through the same wire frames. The
-// supervision idioms carry over unchanged — a node SIGKILL looks exactly
-// like a worker SIGKILL one level up:
+// multiplexes client jobs across them through the same wire frames. It is
+// the same PeerPlane over the same JobLedger (service/peer_plane.h), so a
+// node SIGKILL looks exactly like a worker SIGKILL one level up:
 //
 //   placement   a consistent-hash ring (ring.h) over the live nodes maps
 //               each job's shape_key to its owner, so repeat shapes land on
@@ -40,25 +40,15 @@
 // nodes receive only admitted, checkpoint-annotated specs.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "cluster/ring.h"
 #include "fault/retry.h"
-#include "fault/status.h"
-#include "service/backend.h"
-#include "service/job.h"
+#include "service/peer_plane.h"
 #include "service/plan_cache.h"
-#include "service/queue.h"
 #include "service/tenancy.h"
 
 namespace s35::cluster {
@@ -80,10 +70,10 @@ struct RouterOptions {
   int checkpoint_every = 1;
   std::size_t queue_capacity = 64;
   long max_points = 16L * 1024 * 1024;
-  // Terminal JobRecs kept queryable via info()/wait(); older ones (and
+  // Terminal job records kept queryable via info()/wait(); older ones (and
   // their on-disk checkpoints) are dropped so a long-lived router does not
   // grow without bound per submitted job.
-  std::size_t terminal_retention = 4096;
+  std::size_t terminal_retention = service::kDefaultRetention;
   service::TenancyOptions tenancy;
   // Authoritative plan cache (replicated to nodes).
   std::size_t plan_cache_entries = 256;
@@ -97,7 +87,7 @@ struct RouterOptions {
   static RouterOptions from_env();
 };
 
-class Router : public service::JobBackend {
+class Router : public service::PeerPlane {
  public:
   explicit Router(RouterOptions options);
   ~Router() override;  // shutdown(): graceful drain, then detach from nodes
@@ -105,96 +95,41 @@ class Router : public service::JobBackend {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  fault::Expected<std::uint64_t> submit(const service::JobSpec& spec) override;
-  bool cancel(std::uint64_t id) override;
-  std::optional<service::JobInfo> info(std::uint64_t id) const override;
-  std::optional<service::JobInfo> wait(std::uint64_t id,
-                                       std::int64_t timeout_ms = -1) override;
-  bool drain(std::int64_t timeout_ms = -1) override;
-  // Supervision fields are reused one level up: workers = configured nodes,
-  // worker_deaths = node connection losses, restarts = successful rejoins.
-  service::ServiceStats stats() const override;
+  // stats() reuses the supervision fields one level up: workers =
+  // configured nodes, worker_deaths = node connection losses, restarts =
+  // successful rejoins.
 
   // Graceful drain: stops admission, finishes every accepted job (failing
   // over across node deaths throughout), asks nodes to drain this router's
-  // work, disconnects. Nodes keep running. Idempotent.
+  // work, disconnects, then persists the authoritative plan cache. Nodes
+  // keep running. Idempotent.
   void shutdown() override;
 
   const RouterOptions& options() const { return opts_; }
 
  private:
-  struct NodeSlot {
-    int index = 0;
-    std::string address;
-    int fd = -1;       // connected socket; may predate the hello
-    std::string acc;   // partial wire frames
-    bool live = false;  // hello received; in the ring
-    bool abandoned = false;
-    bool drained = false;
-    std::uint64_t rejoins = 0;  // connection losses + failed dials
-    int window = 0;             // min(opts.window, hello's advertised jobs)
-    std::vector<std::uint64_t> jobs;  // outer ids in flight on this node
-    std::uint64_t progress = 0;
-    std::int64_t progress_ns = 0;
-    std::int64_t beat_ns = 0;
-    std::int64_t reconnect_at_ns = 0;  // backoff deadline while disconnected
-    std::int64_t dial_ns = 0;          // when the current fd was connected
-  };
+  // Dials the node; it goes live (and joins the ring) on its kHello.
+  bool open_peer(Peer& n) override;
+  void retire(Peer& n, bool expected) override { lose(n, expected); }
+  // A connection that never said hello within the dial timeout is dead.
+  void detect_losses(bool stopping) override;
+  void dispatch() override;
+  void on_frame(Peer& n, service::wire::FrameType type,
+                const std::string& payload) override;
+  void on_lost(Peer& n) override { ring_.remove(n.name); }
 
-  struct JobRec {
-    service::JobSpec spec;
-    service::JobState state = service::JobState::kQueued;
-    service::JobResult result;
-    int attempts = 0;
-    bool cancel_requested = false;
-    std::int64_t submit_ns = 0;
-    std::int64_t dispatch_ns = 0;
-    int node = -1;  // slot index while running
-  };
-
-  void monitor_loop();
-  void try_connect(NodeSlot& n);
-  void handle_frame(NodeSlot& n, std::uint32_t type, const std::string& payload);
-  void on_hello(NodeSlot& n, const std::string& payload);
-  void on_result(NodeSlot& n, const std::string& payload);
-  void on_plan_pull(NodeSlot& n, const std::string& payload);
-  void on_plan_push(NodeSlot& n, const std::string& payload);
-  void node_down(NodeSlot& n, bool expected);
-  void failover(std::uint64_t id, const char* why);
-  void dispatch();
+  void on_hello(Peer& n, const std::string& payload);
+  void on_plan_pull(Peer& n, const std::string& payload);
+  void on_plan_push(Peer& n, const std::string& payload);
   bool place(std::uint64_t id);  // false = no capacity yet, held back
-  void record_terminal(std::uint64_t id, service::JobState state,
-                       const service::JobResult& r);
-  void fail_active_jobs(const char* why);
-  void shed_expired_queued();
-  void wake();
-  NodeSlot* slot_by_address(const std::string& address);
+  std::uint64_t plan_version(const service::PlanKey& key) const;
 
   RouterOptions opts_;
-  service::BoundedJobQueue queue_;
-  service::TenantGovernor governor_;
   service::PlanCache plans_;  // authoritative; replicated to nodes
-  HashRing ring_;             // live nodes only; monitor thread mutates
-  std::vector<NodeSlot> slots_;
-  int wake_fds_[2] = {-1, -1};
-
-  mutable std::mutex mu_;  // jobs_, retry_, holdback_, stats, slot metadata
-  std::condition_variable jobs_cv_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<JobRec>> jobs_;
-  std::deque<std::uint64_t> terminal_order_;  // terminal ids, oldest first
-  std::deque<std::uint64_t> retry_;     // failed-over jobs, dispatched first
-  std::deque<std::uint64_t> holdback_;  // popped but owner at capacity
-  std::uint64_t next_id_ = 1;
-  std::uint64_t active_jobs_ = 0;
-  std::uint64_t plan_ver_ = 0;  // replication version stamp, monotonic
+  HashRing ring_;             // live nodes only
+  // Replication version stamps; monitor thread only.
+  std::uint64_t plan_ver_ = 0;
   std::unordered_map<std::uint64_t, std::uint64_t> plan_ver_by_key_;
-
-  service::ServiceStats stats_;
-
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};
-  bool shut_down_ = false;  // guarded by mu_
-  std::thread monitor_;
 };
 
 }  // namespace s35::cluster

@@ -1,13 +1,17 @@
 // JobBackend: the execution-plane interface behind the NDJSON protocol.
 //
-// Two implementations exist:
+// Three implementations exist, all keeping their jobs in one JobLedger
+// (ledger.h):
 //
-//   * JobService — the in-process warm engine (PR 5). One process, one
-//     thread team, jobs multiplexed over resident assets.
+//   * JobService — the in-process warm engine. One process, one thread
+//     team, jobs multiplexed over resident assets.
 //   * Supervisor — the supervised worker-process plane. N forked worker
 //     processes each run a JobService; the supervisor restarts crashed or
 //     hung workers and fails in-flight jobs over to siblings, resuming
 //     bit-exact from periodic checkpoints.
+//   * cluster::Router — the same failover contract one level up, over
+//     `s35 serve --tcp` nodes on a consistent-hash ring. The Supervisor and
+//     the Router share one monitor loop (peer_plane.h).
 //
 // The protocol layer (protocol.h) talks only to this interface, so
 // `s35 serve` and `s35 serve --workers N` expose the identical wire
@@ -64,8 +68,9 @@ struct ServiceStats {
 };
 
 // Minimal surface the protocol needs. Semantics match JobService's methods
-// (see service.h); the Supervisor provides the same guarantees across
-// process boundaries — including exactly-once terminal results.
+// (see service.h); the Supervisor and the Router provide the same
+// guarantees across process and machine boundaries — including
+// exactly-once terminal results.
 class JobBackend {
  public:
   virtual ~JobBackend() = default;

@@ -112,17 +112,28 @@ ServiceOptions ServiceOptions::from_env() {
   return o;
 }
 
+namespace {
+
+LedgerConfig ledger_config(const ServiceOptions& o) {
+  LedgerConfig c;
+  c.queue_capacity = o.queue_capacity;
+  c.max_points = o.max_points;
+  c.tenancy = o.tenancy;
+  return c;
+}
+
+}  // namespace
+
 JobService::JobService(ServiceOptions options)
     : opts_(std::move(options)),
       plan_cache_(opts_.plan_cache_entries),
-      queue_(opts_.queue_capacity) {
+      ledger_(ledger_config(opts_)) {
   if (opts_.threads <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     opts_.threads = hw > 0 ? static_cast<int>(hw) : 1;
   }
   if (opts_.mach.name.empty()) opts_.mach = machine::host();
   if (opts_.max_dim_t < 1) opts_.max_dim_t = 1;
-  governor_.configure(opts_.tenancy);
   engine_ = std::make_unique<core::Engine35>(opts_.threads);
   if (!opts_.plan_cache_path.empty()) {
     // A missing or damaged cache file only costs a re-tune; never fatal.
@@ -136,175 +147,31 @@ JobService::JobService(ServiceOptions options)
 
 JobService::~JobService() { shutdown(); }
 
-fault::Expected<std::uint64_t> JobService::submit(const JobSpec& spec) {
-  if (const fault::Status st = validate_spec(spec, opts_.max_points); !st.ok()) {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.rejected;
-    return st;
-  }
-  // Eager deadline shedding: dead jobs must not consume the admission
-  // capacity this submission is competing for.
-  shed_expired_jobs();
-
-  const double cost = predicted_job_cost(spec);
-  std::uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    if (shut_down_ || queue_.closed()) {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.rejected;
-      return fault::Status(fault::ErrorCode::kUnavailable, "service shut down");
-    }
-    const std::int64_t now = now_ns();
-    if (const AdmitDecision d =
-            governor_.admit(spec, cost, queue_.size(), queue_.capacity(), now);
-        !d.ok()) {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.rejected;
-      return fault::Status(
-          fault::ErrorCode::kUnavailable,
-          format_rejection(d.reason, "tenant admission rejected", d.retry_after_ms));
-    }
-    id = next_id_++;
-    auto rec = std::make_unique<JobRec>();
-    rec->spec = spec;
-    rec->submit_ns = now;
-    if (spec.deadline_ms > 0)
-      rec->deadline_ns = rec->submit_ns + spec.deadline_ms * 1'000'000;
-    jobs_[id] = std::move(rec);
-    ++active_jobs_;
-    QueueItem item{id,   spec.priority,     id,   spec.shape_key(),
-                   spec.tenant_key(),
-                   static_cast<std::uint32_t>(spec.eff_weight()),
-                   cost, jobs_[id]->deadline_ns};
-    if (!queue_.try_push(item)) {
-      jobs_.erase(id);
-      --active_jobs_;
-      const AdmitDecision d = governor_.queue_full(spec, cost, now);
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.rejected;
-      return fault::Status(
-          fault::ErrorCode::kUnavailable,
-          format_rejection(d.reason, "queue full", d.retry_after_ms));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.submitted;
-  }
-  return id;
-}
-
-bool JobService::cancel(std::uint64_t id) {
-  JobRec* rec = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end()) return false;
-    rec = it->second.get();
-    if (rec->state != JobState::kQueued && rec->state != JobState::kRunning)
-      return false;
-    rec->cancel.store(true, std::memory_order_release);
-  }
-  // Still queued: try to pull it out before the worker does. If the worker
-  // wins the race it observes the cancel flag instead.
-  if (queue_.remove(id)) {
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      rec->result.message = "cancelled while queued";
-    }
-    finish(id, *rec, JobState::kCancelled);
-  }
-  return true;
-}
-
-std::optional<JobInfo> JobService::info(std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(jobs_mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  JobInfo out;
-  out.id = id;
-  out.state = it->second->state;
-  out.spec = it->second->spec;
-  out.result = it->second->result;
-  return out;
-}
-
-std::optional<JobInfo> JobService::wait(std::uint64_t id, std::int64_t timeout_ms) {
-  const auto terminal = [](JobState s) {
-    return s != JobState::kQueued && s != JobState::kRunning;
-  };
-  std::unique_lock<std::mutex> lock(jobs_mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  JobRec* rec = it->second.get();
-  const auto pred = [&] { return terminal(rec->state); };
-  if (timeout_ms < 0) {
-    jobs_cv_.wait(lock, pred);
-  } else if (!jobs_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), pred)) {
-    return std::nullopt;
-  }
-  JobInfo out;
-  out.id = id;
-  out.state = rec->state;
-  out.spec = rec->spec;
-  out.result = rec->result;
-  return out;
-}
-
-bool JobService::drain(std::int64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(jobs_mu_);
-  const auto pred = [&] { return active_jobs_ == 0; };
-  if (timeout_ms < 0) {
-    jobs_cv_.wait(lock, pred);
-    return true;
-  }
-  return jobs_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), pred);
-}
-
 void JobService::set_paused(bool paused) {
   {
     std::lock_guard<std::mutex> lock(pause_mu_);
     paused_ = paused;
   }
-  // Gate the queue too: a worker already blocked inside pop_wait must not
-  // pop the next submission while paused — tests rely on pausing *before*
+  // Gate the queue too: a worker already blocked inside the pop must not
+  // take the next submission while paused — tests rely on pausing *before*
   // submitting to stack the queue deterministically.
-  queue_.set_gate(paused);
+  ledger_.set_gate(paused);
   pause_cv_.notify_all();
 }
 
 JobService::Stats JobService::stats() const {
-  Stats out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
-  out.queue_depth = queue_.size();
+  Stats out = ledger_.stats();
   out.plan_hits = plan_cache_.hits();
   out.plan_misses = plan_cache_.misses();
+  out.watchdog_stalls = watchdog_stalls_.load(std::memory_order_relaxed);
   out.threads = opts_.threads;
-  out.tenancy = governor_.enabled();
-  out.quarantined = governor_.quarantined_total();
-  out.quarantine_trips = governor_.quarantine_trips();
-  out.tenants = governor_.snapshot();
-  if (!out.tenants.empty()) {
-    for (const auto& [tenant, deficit] : queue_.drr_snapshot())
-      for (TenantCounters& c : out.tenants)
-        if (c.key == tenant) c.deficit = deficit;
-  }
   return out;
 }
 
 void JobService::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    if (shut_down_) return;
-    shut_down_ = true;
-  }
+  if (!ledger_.close()) return;  // the worker drains what is queued, then exits
   stopping_.store(true, std::memory_order_release);
   set_paused(false);
-  queue_.close();  // worker drains what is queued, then pop returns nullopt
   if (worker_.joinable()) worker_.join();
   watchdog_.disarm();
   if (!opts_.plan_cache_path.empty()) {
@@ -324,58 +191,31 @@ void JobService::worker_loop() {
         return !paused_ || stopping_.load(std::memory_order_acquire);
       });
     }
-    const auto item = queue_.pop_wait(affinity);
-    if (!item) return;  // closed and drained
-    JobRec* rec = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      const auto it = jobs_.find(item->id);
-      if (it != jobs_.end() && it->second->state == JobState::kQueued)
-        rec = it->second.get();
-    }
-    if (rec == nullptr) continue;  // lost a cancel race after remove()
-    execute(item->id, *rec);
-    affinity = rec->spec.shape_key();
+    const auto id = ledger_.next_wait(affinity);
+    if (!id) return;  // closed and drained
+    if (const std::uint64_t shape = execute(*id); shape != 0) affinity = shape;
     // Jobs whose deadline passed while this one ran die now, not at pop.
-    shed_expired_jobs();
+    ledger_.shed_expired();
   }
 }
 
-void JobService::execute(std::uint64_t id, JobRec& rec) {
+std::uint64_t JobService::execute(std::uint64_t id) {
+  // A cancel that raced the pop is realized by start() as kCancelled.
+  const auto job = ledger_.start(id, -1);
+  if (!job) return 0;
   const std::int64_t start = now_ns();
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    rec.result.wait_s = static_cast<double>(start - rec.submit_ns) * 1e-9;
-  }
-
-  if (rec.cancel.load(std::memory_order_acquire)) {
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      rec.result.message = "cancelled while queued";
-    }
-    finish(id, rec, JobState::kCancelled);
-    return;
-  }
-  if (rec.deadline_ns != 0 && start > rec.deadline_ns) {
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      rec.result.message = "deadline expired before start";
-    }
-    finish(id, rec, JobState::kExpired);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    rec.state = JobState::kRunning;
-  }
-  governor_.note_started(rec.spec);
-
   JobResult out;
-  out.wait_s = static_cast<double>(start - rec.submit_ns) * 1e-9;
-  const fault::Status st = run_job(rec.spec, rec, out);
+  out.wait_s = static_cast<double>(start - job->submit_ns) * 1e-9;
+  if (job->deadline_ns != 0 && start > job->deadline_ns) {
+    out.message = "deadline expired before start";
+    ledger_.finish(id, JobState::kExpired, out);
+    return job->spec.shape_key();
+  }
+
+  const fault::Status st = run_job(*job, out);
 
   JobState state = JobState::kDone;
-  if (rec.cancel.load(std::memory_order_acquire)) {
+  if (job->cancel->load(std::memory_order_acquire)) {
     state = JobState::kCancelled;
     out.message =
         "cancelled mid-run after " + std::to_string(out.steps_done) + " steps";
@@ -383,19 +223,18 @@ void JobService::execute(std::uint64_t id, JobRec& rec) {
     state = JobState::kFailed;
     out.error = st.code();
     out.message = st.message();
-  } else if (out.steps_done < rec.spec.steps) {
+  } else if (out.steps_done < job->spec.steps) {
     state = JobState::kExpired;
     out.message =
         "deadline expired mid-run after " + std::to_string(out.steps_done) + " steps";
   }
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    rec.result = out;
-  }
-  finish(id, rec, state);
+  // `job` (a copy) stays valid after finish(); the ledger record may not.
+  ledger_.finish(id, state, out);
+  return job->spec.shape_key();
 }
 
-fault::Status JobService::run_job(const JobSpec& spec, JobRec& rec, JobResult& out) {
+fault::Status JobService::run_job(const JobLedger::Started& job, JobResult& out) {
+  const JobSpec& spec = job.spec;
   const machine::KernelSig sig =
       spec.kernel == "27pt" ? machine::twenty_seven_point() : machine::seven_point();
   const long nx = spec.nx, ny = spec.eff_ny(), nz = spec.eff_nz();
@@ -533,8 +372,8 @@ fault::Status JobService::run_job(const JobSpec& spec, JobRec& rec, JobResult& o
   // call with all steps — and gives us a safe cancellation/deadline check
   // between passes (a pass is never torn).
   while (done < spec.steps) {
-    if (rec.cancel.load(std::memory_order_acquire)) break;
-    if (rec.deadline_ns != 0 && now_ns() > rec.deadline_ns) break;
+    if (job.cancel->load(std::memory_order_acquire)) break;
+    if (job.deadline_ns != 0 && now_ns() > job.deadline_ns) break;
     const int chunk = std::min(dim_t, spec.steps - done);
     if (spec.audit && spec.kernel == "27pt") {
       st = run_sweep_verified_auto(stencil::Variant::kBlocked35D,
@@ -582,10 +421,7 @@ fault::Status JobService::run_job(const JobSpec& spec, JobRec& rec, JobResult& o
   out.audited_rows = monitor.audited_rows();
   out.sdc_detected = monitor.sdc_detected();
   out.reexecs = monitor.reexecs();
-  if (monitor.stalls() > 0) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.watchdog_stalls += monitor.stalls();
-  }
+  watchdog_stalls_.fetch_add(monitor.stalls(), std::memory_order_relaxed);
 
   if (st.ok() && done == spec.steps) {
     std::uint32_t crc = 0;
@@ -597,63 +433,6 @@ fault::Status JobService::run_job(const JobSpec& spec, JobRec& rec, JobResult& o
     out.crc = crc;
   }
   return st;
-}
-
-void JobService::finish(std::uint64_t id, JobRec& rec, JobState state) {
-  (void)id;
-  // Stats first: a client whose wait() returns must already see this job in
-  // the counters.
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    switch (state) {
-      case JobState::kDone:
-        ++stats_.completed;
-        break;
-      case JobState::kFailed:
-        ++stats_.failed;
-        break;
-      case JobState::kCancelled:
-        ++stats_.cancelled;
-        break;
-      case JobState::kExpired:
-        ++stats_.expired;
-        break;
-      default:
-        break;
-    }
-    if (rec.result.batched) ++stats_.batched;
-    stats_.total_wait_s += rec.result.wait_s;
-    stats_.total_run_s += rec.result.run_s;
-  }
-  bool was_running = false;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    was_running = rec.state == JobState::kRunning;
-    rec.state = state;
-    --active_jobs_;
-  }
-  governor_.note_finished(rec.spec, was_running, state);
-  jobs_cv_.notify_all();
-}
-
-void JobService::shed_expired_jobs() {
-  const std::vector<std::uint64_t> expired = queue_.take_expired(now_ns());
-  for (const std::uint64_t id : expired) {
-    JobRec* rec = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      const auto it = jobs_.find(id);
-      if (it == jobs_.end() || it->second->state != JobState::kQueued) continue;
-      rec = it->second.get();
-      rec->result.message = "deadline expired while queued; shed";
-    }
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.shed_expired;
-    }
-    governor_.note_shed(rec->spec);
-    finish(id, *rec, JobState::kExpired);
-  }
 }
 
 }  // namespace s35::service

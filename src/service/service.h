@@ -32,7 +32,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "core/engine.h"
 #include "fault/status.h"
@@ -41,8 +40,8 @@
 #include "machine/descriptor.h"
 #include "service/backend.h"
 #include "service/job.h"
+#include "service/ledger.h"
 #include "service/plan_cache.h"
-#include "service/queue.h"
 
 namespace s35::service {
 
@@ -99,23 +98,29 @@ class JobService : public JobBackend {
   // Admission: validates the spec (known kernel, sane dims, points cap) and
   // enqueues. Fails with kMismatch on an invalid spec, kUnavailable when the
   // queue is full or the service is shutting down. Returns the job id.
-  fault::Expected<std::uint64_t> submit(const JobSpec& spec) override;
+  fault::Expected<std::uint64_t> submit(const JobSpec& spec) override {
+    return ledger_.submit(spec);
+  }
 
   // Cancels a job: removed from the queue when still queued; when running,
   // the worker observes the flag at the next pass boundary (results stay
   // bit-exact — passes are never torn). False if already terminal/unknown.
-  bool cancel(std::uint64_t id) override;
+  bool cancel(std::uint64_t id) override { return ledger_.cancel(id); }
 
-  // Snapshot of a job; nullopt for unknown ids.
-  std::optional<JobInfo> info(std::uint64_t id) const override;
+  // Snapshot of a job; nullopt for unknown ids and for terminal records
+  // evicted by retention (the newest kDefaultRetention stay queryable).
+  std::optional<JobInfo> info(std::uint64_t id) const override {
+    return ledger_.info(id);
+  }
 
   // Blocks until the job reaches a terminal state (timeout_ms < 0 = forever).
   // nullopt on timeout or unknown id.
-  std::optional<JobInfo> wait(std::uint64_t id,
-                              std::int64_t timeout_ms = -1) override;
+  std::optional<JobInfo> wait(std::uint64_t id, std::int64_t timeout_ms = -1) override {
+    return ledger_.wait(id, timeout_ms);
+  }
 
   // Blocks until every submitted job is terminal. False on timeout.
-  bool drain(std::int64_t timeout_ms = -1) override;
+  bool drain(std::int64_t timeout_ms = -1) override { return ledger_.drain(timeout_ms); }
 
   // Pauses/resumes the worker *between* jobs — tests use this to stack the
   // queue deterministically before anything runs.
@@ -134,35 +139,19 @@ class JobService : public JobBackend {
   void shutdown() override;
 
  private:
-  struct JobRec {
-    JobSpec spec;
-    JobState state = JobState::kQueued;
-    JobResult result;
-    std::atomic<bool> cancel{false};
-    std::int64_t submit_ns = 0;    // steady_clock, for wait_s
-    std::int64_t deadline_ns = 0;  // 0 = none
-  };
-
   void worker_loop();
-  void execute(std::uint64_t id, JobRec& rec);
-  fault::Status run_job(const JobSpec& spec, JobRec& rec, JobResult& out);
-  void finish(std::uint64_t id, JobRec& rec, JobState state);
-  // Realizes kExpired for queued jobs whose deadline already passed. Called
-  // with no service locks held (finish() takes them internally).
-  void shed_expired_jobs();
+  // Runs ledger job `id`; returns its shape key (0 when it did not start).
+  std::uint64_t execute(std::uint64_t id);
+  fault::Status run_job(const JobLedger::Started& job, JobResult& out);
 
   ServiceOptions opts_;
   std::unique_ptr<core::Engine35> engine_;
   PlanCache plan_cache_;
-  BoundedJobQueue queue_;
+  // Checkpoint paths arrive from the plane above (never assigned here), so
+  // this ledger never unlinks them: an SDC failover resumes from that file.
+  JobLedger ledger_;
   integrity::Watchdog watchdog_;
-  TenantGovernor governor_;
-
-  mutable std::mutex jobs_mu_;
-  std::condition_variable jobs_cv_;  // signaled on any terminal transition
-  std::unordered_map<std::uint64_t, std::unique_ptr<JobRec>> jobs_;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t active_jobs_ = 0;  // queued + running
+  std::atomic<std::uint64_t> watchdog_stalls_{0};
 
   std::mutex pause_mu_;
   std::condition_variable pause_cv_;
@@ -172,11 +161,7 @@ class JobService : public JobBackend {
   std::unique_ptr<grid::GridPair<float>> pool_;
   std::uint64_t pool_shape_ = 0;
 
-  mutable std::mutex stats_mu_;
-  Stats stats_;
-
   std::atomic<bool> stopping_{false};
-  bool shut_down_ = false;  // guarded by jobs_mu_
   std::thread worker_;
 };
 

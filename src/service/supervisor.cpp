@@ -1,38 +1,50 @@
 #include "service/supervisor.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-
-#include "common/env.h"
-#include "service/json.h"
-#include "service/wire.h"
-#include "service/worker.h"
-
-#ifdef __unix__
-#include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#include <cerrno>
-#endif
+
+#include <algorithm>
+#include <cstdio>
+
+#include "common/env.h"
+#include "service/worker.h"
 
 namespace s35::service {
 
 namespace {
 
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+PlaneConfig plane_config(const SupervisorOptions& o) {
+  PlaneConfig c;
+  c.log_tag = "s35-serve";
+  c.peer_noun = "worker";
+  c.loss_reason = "worker process lost";
+  c.no_capacity = "no live workers remain (all abandoned)";
+  c.beat_ms = o.beat_ms;
+  c.hang_ms = o.hang_ms;
+  c.max_losses = o.max_restarts;
+  c.max_job_attempts = o.max_job_attempts;
+  c.backoff = o.backoff;
+  c.stop_grace_ms = 3000;  // workers persist their plan-cache shard on exit
+  return c;
 }
 
-bool terminal(JobState s) {
-  return s != JobState::kQueued && s != JobState::kRunning;
+LedgerConfig ledger_config(const SupervisorOptions& o) {
+  LedgerConfig c;
+  c.queue_capacity = std::max<std::size_t>(1, o.queue_capacity);
+  c.max_points = o.max_points;
+  c.tenancy = o.tenancy;
+  c.checkpoint_dir = o.checkpoint_dir;
+  c.checkpoint_every = o.checkpoint_every;
+  return c;
+}
+
+std::vector<std::string> worker_names(int workers) {
+  std::vector<std::string> names;
+  for (int i = 0; i < std::max(1, workers); ++i) names.push_back(std::to_string(i));
+  return names;
 }
 
 }  // namespace
@@ -57,38 +69,30 @@ SupervisorOptions SupervisorOptions::from_env() {
   return o;
 }
 
-#ifdef __unix__
-
 Supervisor::Supervisor(SupervisorOptions options)
-    : opts_(std::move(options)), queue_(std::max<std::size_t>(1, opts_.queue_capacity)) {
+    : PeerPlane(plane_config(options), ledger_config(options),
+                worker_names(options.workers)),
+      opts_(std::move(options)) {
   if (opts_.workers < 1) opts_.workers = 1;
   if (opts_.beat_ms < 5) opts_.beat_ms = 5;
   if (opts_.checkpoint_every < 1) opts_.checkpoint_every = 1;
-  governor_.configure(opts_.tenancy);
   // Workers inherit the per-worker service template; each gets its own
   // PlanCache shard over the shared on-disk file (plan_cache.cpp flocks
-  // around save/load, so shards never interleave partial writes).
-  if (::pipe(wake_fds_) != 0) {
-    std::perror("s35-serve: wake pipe");
-    wake_fds_[0] = wake_fds_[1] = -1;
-  } else {
-    // Both ends nonblocking: the monitor drains the pipe until EAGAIN, and
-    // a full pipe must never stall a submitter's wake().
-    for (const int fd : wake_fds_)
-      ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-  }
-  stats_.workers = opts_.workers;
-  slots_.resize(static_cast<std::size_t>(opts_.workers));
-  for (int i = 0; i < opts_.workers; ++i) {
-    slots_[static_cast<std::size_t>(i)].index = i;
-    spawn(slots_[static_cast<std::size_t>(i)]);
-  }
-  monitor_ = std::thread(&Supervisor::monitor_loop, this);
+  // around save/load, so shards never interleave partial writes). The
+  // monitor forks them on its first round.
+  pids_.assign(peers_.size(), -1);
+  start();
 }
 
 Supervisor::~Supervisor() { shutdown(); }
 
-bool Supervisor::spawn(WorkerSlot& w) {
+ServiceStats Supervisor::stats() const {
+  ServiceStats out = PeerPlane::stats();
+  out.threads = opts_.service.threads;
+  return out;
+}
+
+bool Supervisor::open_peer(Peer& p) {
   int sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
     std::perror("s35-serve: socketpair");
@@ -102,761 +106,84 @@ bool Supervisor::spawn(WorkerSlot& w) {
     return false;
   }
   if (pid == 0) {
-    // Child: drop every supervisor-side descriptor so a sibling's death is
-    // visible as EOF to the supervisor alone, then become a worker. _Exit
-    // skips atexit handlers — this process shares them with the parent.
+    // Child: drop every supervisor-side descriptor, then become a worker.
+    // _Exit skips atexit handlers — this process shares them with the
+    // parent.
     ::close(sv[0]);
-    for (const WorkerSlot& other : slots_)
-      if (other.fd >= 0) ::close(other.fd);
-    if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
-    if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
+    close_fds_in_child();
     ::signal(SIGTERM, SIG_DFL);
     ::signal(SIGINT, SIG_DFL);
     WorkerOptions wo;
-    wo.index = w.index;
+    wo.index = p.index;
     wo.beat_ms = opts_.beat_ms;
     wo.service = opts_.service;
     std::_Exit(worker_main(sv[1], wo));
   }
   ::close(sv[1]);
-  const std::int64_t now = now_ns();
-  w.pid = pid;
-  w.fd = sv[0];
-  w.acc.clear();
-  w.live = true;
-  w.drained = false;
-  w.job = 0;
-  w.progress = 0;
-  w.progress_ns = now;
-  w.beat_ns = now;
-  return true;
-}
-
-void Supervisor::wake() {
-  if (wake_fds_[1] >= 0) {
-    const char b = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &b, 1);
-  }
-}
-
-fault::Expected<std::uint64_t> Supervisor::submit(const JobSpec& spec) {
-  if (const fault::Status st = validate_spec(spec, opts_.max_points); !st.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rejected;
-    return st;
-  }
-  // Eager deadline shedding frees the capacity this submission competes for.
-  shed_expired_queued();
-
-  const double cost = predicted_job_cost(spec);
-  std::uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shut_down_ || draining_.load(std::memory_order_acquire) ||
-        queue_.closed()) {
-      ++stats_.rejected;
-      return fault::Status(fault::ErrorCode::kUnavailable, "service shut down");
-    }
-    const std::int64_t now = now_ns();
-    if (const AdmitDecision d =
-            governor_.admit(spec, cost, queue_.size() + retry_.size(),
-                            queue_.capacity(), now);
-        !d.ok()) {
-      ++stats_.rejected;
-      return fault::Status(
-          fault::ErrorCode::kUnavailable,
-          format_rejection(d.reason, "tenant admission rejected", d.retry_after_ms));
-    }
-    id = next_id_++;
-    auto rec = std::make_unique<JobRec>();
-    rec->spec = spec;
-    // The supervisor — never the client — chooses the failover checkpoint
-    // location; idempotent per job id, so a resumed dispatch finds it.
-    if (!opts_.checkpoint_dir.empty()) {
-      rec->spec.checkpoint_path =
-          opts_.checkpoint_dir + "/job-" + std::to_string(id) + ".ckpt";
-      rec->spec.checkpoint_every = opts_.checkpoint_every;
-    }
-    rec->submit_ns = now;
-    const std::int64_t deadline_ns =
-        spec.deadline_ms > 0 ? now + spec.deadline_ms * 1'000'000 : 0;
-    const QueueItem item{id,   spec.priority,     id,   spec.shape_key(),
-                         spec.tenant_key(),
-                         static_cast<std::uint32_t>(spec.eff_weight()),
-                         cost, deadline_ns};
-    if (!queue_.try_push(item)) {
-      const AdmitDecision d = governor_.queue_full(spec, cost, now);
-      ++stats_.rejected;
-      return fault::Status(
-          fault::ErrorCode::kUnavailable,
-          format_rejection(d.reason, "queue full", d.retry_after_ms));
-    }
-    jobs_[id] = std::move(rec);
-    ++active_jobs_;
-    ++stats_.submitted;
-  }
-  wake();
-  return id;
-}
-
-bool Supervisor::cancel(std::uint64_t id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second->state)) return false;
-    it->second->cancel_requested = true;
-  }
-  wake();  // the monitor removes it from the queue or forwards the cancel
-  return true;
-}
-
-std::optional<JobInfo> Supervisor::info(std::uint64_t id) const {
+  pids_[static_cast<std::size_t>(p.index)] = pid;
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  JobInfo out;
-  out.id = id;
-  out.state = it->second->state;
-  out.spec = it->second->spec;
-  out.result = it->second->result;
-  return out;
+  p.fd = sv[0];
+  p.live = true;
+  if (p.losses > 0) ++counters_.restarts;
+  return true;
 }
 
-std::optional<JobInfo> Supervisor::wait(std::uint64_t id, std::int64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  JobRec* rec = it->second.get();
-  const auto pred = [&] { return terminal(rec->state); };
-  if (timeout_ms < 0) {
-    jobs_cv_.wait(lock, pred);
-  } else if (!jobs_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), pred)) {
-    return std::nullopt;
-  }
-  JobInfo out;
-  out.id = id;
-  out.state = rec->state;
-  out.spec = rec->spec;
-  out.result = rec->result;
-  return out;
+void Supervisor::retire(Peer& p, bool) {
+  // SIGKILL makes the state unambiguous; the reap declares the loss.
+  const long pid = pids_[static_cast<std::size_t>(p.index)];
+  if (pid > 0) ::kill(static_cast<pid_t>(pid), SIGKILL);
 }
 
-bool Supervisor::drain(std::int64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto pred = [&] { return active_jobs_ == 0; };
-  if (timeout_ms < 0) {
-    jobs_cv_.wait(lock, pred);
-    return true;
-  }
-  return jobs_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), pred);
-}
-
-ServiceStats Supervisor::stats() const {
-  ServiceStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
-    out.queue_depth = queue_.size() + retry_.size();
-    out.in_flight = 0;
-    out.workers_live = 0;
-    const std::int64_t now = now_ns();
-    for (const WorkerSlot& w : slots_) {
-      if (!w.live) continue;
-      ++out.workers_live;
-      if (w.job != 0) ++out.in_flight;
-      const std::int64_t age_ms = (now - w.beat_ns) / 1'000'000;
-      out.max_heartbeat_age_ms = std::max(out.max_heartbeat_age_ms, age_ms);
-    }
-  }
-  out.threads = opts_.service.threads;
-  out.tenancy = governor_.enabled();
-  out.quarantined = governor_.quarantined_total();
-  out.quarantine_trips = governor_.quarantine_trips();
-  out.tenants = governor_.snapshot();
-  if (!out.tenants.empty()) {
-    for (const auto& [tenant, deficit] : queue_.drr_snapshot())
-      for (TenantCounters& c : out.tenants)
-        if (c.key == tenant) c.deficit = deficit;
-  }
-  return out;
-}
-
-void Supervisor::record_terminal(std::uint64_t id, JobState state,
-                                 const JobResult& r) {
-  // Exactly-once: the first terminal transition wins; late or duplicate
-  // results (a failover racing a slow pipe) are dropped here.
-  bool was_running = false;
-  const JobSpec* spec = nullptr;  // stable: jobs_ entries are never erased
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second->state)) return;
-    JobRec& rec = *it->second;
-    was_running = rec.state == JobState::kRunning;
-    spec = &rec.spec;
-    rec.state = state;
-    rec.result = r;
-    rec.worker = -1;
-    --active_jobs_;
-    switch (state) {
-      case JobState::kDone:
-        ++stats_.completed;
-        break;
-      case JobState::kFailed:
-        ++stats_.failed;
-        break;
-      case JobState::kCancelled:
-        ++stats_.cancelled;
-        break;
-      case JobState::kExpired:
-        ++stats_.expired;
-        break;
-      default:
-        break;
-    }
-    if (r.batched) ++stats_.batched;
-    if (r.plan_cache_hit)
-      ++stats_.plan_hits;
-    else if (state == JobState::kDone)
-      ++stats_.plan_misses;
-    if (rec.dispatch_ns > 0)
-      stats_.total_wait_s +=
-          static_cast<double>(rec.dispatch_ns - rec.submit_ns) * 1e-9;
-    stats_.total_run_s += r.run_s;
-  }
-  if (spec != nullptr) governor_.note_finished(*spec, was_running, state);
-  jobs_cv_.notify_all();
-}
-
-void Supervisor::failover(std::uint64_t id, const char* why) {
-  bool abandoned = false;
-  AdmitDecision quarantine;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second->state)) return;
-    JobRec& rec = *it->second;
-    if (rec.attempts >= opts_.max_job_attempts) {
-      abandoned = true;
-    } else if (quarantine = governor_.quarantine_check(rec.spec, now_ns());
-               !quarantine.ok()) {
-      // Poison quarantine: this (tenant, shape) keeps killing workers.
-      // Fail fast instead of burning the remaining attempts — and the
-      // sibling workers — on a job the breaker already indicted.
-    } else {
-      // Resume from the last durable pass-boundary checkpoint; a missing
-      // or unusable file degrades to a fresh (still bit-exact) start.
-      rec.spec.resume = !rec.spec.checkpoint_path.empty();
-      rec.state = JobState::kQueued;
-      rec.worker = -1;
-      retry_.push_back(id);
-      governor_.note_requeued(rec.spec);
-      ++stats_.failovers;
-      ++stats_.redispatched;
-    }
-  }
-  if (abandoned) {
-    JobResult r;
-    r.error = fault::ErrorCode::kUnavailable;
-    r.message = std::string("job abandoned after ") +
-                std::to_string(opts_.max_job_attempts) +
-                " dispatch attempts — last worker loss: " + why;
-    record_terminal(id, JobState::kFailed, r);
-  } else if (!quarantine.ok()) {
-    JobResult r;
-    r.error = fault::ErrorCode::kUnavailable;
-    r.message = format_rejection(
-        AdmitReason::kQuarantined,
-        std::string("poison job quarantined — last worker loss: ") + why,
-        quarantine.retry_after_ms);
-    record_terminal(id, JobState::kFailed, r);
+void Supervisor::detect_losses(bool stopping) {
+  // WNOHANG: the monitor must keep polling pipes and heartbeats.
+  for (Peer& p : peers_) {
+    long& pid = pids_[static_cast<std::size_t>(p.index)];
+    int status = 0;
+    if (pid <= 0 || ::waitpid(static_cast<pid_t>(pid), &status, WNOHANG) != pid)
+      continue;
+    pid = -1;  // reaped: the number may be recycled from here on
+    const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    lose(p, clean && (p.drained || stopping));
   }
 }
 
-void Supervisor::on_result(WorkerSlot& w, const std::string& payload) {
-  std::uint64_t id = 0;
-  JobState state = JobState::kFailed;
-  JobResult r;
-  if (!wire::result_from_json(payload, &id, &state, &r)) return;
-  bool mine = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    mine = w.job == id;
-    if (mine) {
-      w.job = 0;
-      const auto it = jobs_.find(id);
-      if (it != jobs_.end()) w.affinity = it->second->spec.shape_key();
-    }
-  }
-  if (!mine) return;  // stale frame from a previous assignment
-
-  // Integrity escalation: the worker's in-process ladder (audits, ring
-  // sentinels, re-execution) gave up. The worker's address space is not
-  // trusted anymore — recycle the process and fail the job over, exactly
-  // like a crash. Only a genuinely exhausted job records the failure.
-  if (state == JobState::kFailed && r.error == fault::ErrorCode::kSdcDetected) {
-    bool exhausted = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.sdc_escalations;
-      const auto it = jobs_.find(id);
-      exhausted = it == jobs_.end() || it->second->attempts >= opts_.max_job_attempts;
-    }
-    if (exhausted) {
-      record_terminal(id, state, r);
-    } else {
-      failover(id, "SDC escalation");
-    }
-    if (w.pid > 0) ::kill(static_cast<pid_t>(w.pid), SIGKILL);
-    return;
-  }
-  record_terminal(id, state, r);
-}
-
-void Supervisor::handle_frame(WorkerSlot& w, std::uint32_t type,
-                              const std::string& payload) {
-  switch (static_cast<wire::FrameType>(type)) {
-    case wire::FrameType::kBeat: {
-      std::int64_t p = 0;
-      const std::int64_t now = now_ns();
-      std::lock_guard<std::mutex> lock(mu_);
-      w.beat_ns = now;
-      if (json::get_int(payload, "progress", &p) &&
-          static_cast<std::uint64_t>(p) != w.progress) {
-        w.progress = static_cast<std::uint64_t>(p);
-        w.progress_ns = now;
-      }
-      break;
-    }
-    case wire::FrameType::kResult:
-      on_result(w, payload);
-      break;
-    case wire::FrameType::kDrained: {
-      std::lock_guard<std::mutex> lock(mu_);
-      w.drained = true;
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void Supervisor::worker_down(WorkerSlot& w, bool expected) {
-  // Deliver-before-declare: drain every frame the worker managed to write
-  // before dying. A completed result in the pipe means the job is done —
-  // failing it over would run it twice.
-  if (w.fd >= 0) {
-    std::vector<wire::Frame> frames;
-    wire::drain_frames(w.fd, &w.acc, &frames);
-    for (const wire::Frame& f : frames)
-      handle_frame(w, static_cast<std::uint32_t>(f.type), f.payload);
-    ::close(w.fd);
-  }
-  std::uint64_t lost = 0;
-  bool poison = false;
-  JobSpec poison_spec;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    w.fd = -1;
-    w.live = false;
-    w.pid = -1;
-    lost = w.job;
-    w.job = 0;
-    if (lost != 0 && !expected) {
-      // Attribute the loss to the in-flight job: crashes and hang kills
-      // feed the poison breaker. SDC escalations do not land here — the
-      // result frame already cleared w.job before the recycle kill.
-      const auto it = jobs_.find(lost);
-      if (it != jobs_.end() && !terminal(it->second->state)) {
-        poison = true;
-        poison_spec = it->second->spec;
-      }
-    }
-    if (!expected) {
-      ++stats_.worker_deaths;
-      ++w.restarts;
-      ++w.incarnation;
-      if (w.restarts > static_cast<std::uint64_t>(opts_.max_restarts)) {
-        w.abandoned = true;
-        std::fprintf(stderr,
-                     "s35-serve: worker %d abandoned after %llu restarts\n",
-                     w.index, static_cast<unsigned long long>(w.restarts - 1));
-      } else {
-        const auto delay = fault::backoff_delay_jittered(
-            opts_.backoff, static_cast<int>(w.restarts - 1),
-            static_cast<std::uint64_t>(w.index));
-        w.restart_at_ns =
-            now_ns() +
-            std::chrono::duration_cast<std::chrono::nanoseconds>(delay).count();
-      }
-    }
-  }
-  if (poison) governor_.note_poison(poison_spec, now_ns());
-  if (lost != 0) failover(lost, "worker process lost");
-}
-
-void Supervisor::shed_expired_queued() {
-  const std::vector<std::uint64_t> expired = queue_.take_expired(now_ns());
-  for (const std::uint64_t id : expired) {
-    JobSpec spec;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = jobs_.find(id);
-      if (it == jobs_.end() || terminal(it->second->state)) continue;
-      spec = it->second->spec;
-      ++stats_.shed_expired;
-    }
-    governor_.note_shed(spec);
-    JobResult r;
-    r.message = "deadline expired while queued; shed";
-    record_terminal(id, JobState::kExpired, r);
-  }
-}
-
-void Supervisor::fail_active_jobs(const char* why) {
-  std::vector<std::uint64_t> ids;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [id, rec] : jobs_)
-      if (!terminal(rec->state)) ids.push_back(id);
-    retry_.clear();
-  }
-  for (const std::uint64_t id : ids) {
-    queue_.remove(id);
-    JobResult r;
-    r.error = fault::ErrorCode::kUnavailable;
-    r.message = why;
-    record_terminal(id, JobState::kFailed, r);
-  }
+void Supervisor::detach(Peer& p) {
+  long& pid = pids_[static_cast<std::size_t>(p.index)];
+  if (pid <= 0) return;
+  ::kill(static_cast<pid_t>(pid), SIGKILL);
+  int status = 0;
+  ::waitpid(static_cast<pid_t>(pid), &status, 0);
+  pid = -1;
+  lose(p, true);
 }
 
 void Supervisor::dispatch() {
-  for (WorkerSlot& w : slots_) {
-    if (!w.live || w.job != 0) continue;
-
-    std::uint64_t id = 0;
-    JobSpec spec;
-    int incarnation = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // Failed-over jobs first: their checkpoints are cooling and their
-      // clients have already waited through one worker loss.
-      while (!retry_.empty() && id == 0) {
-        const std::uint64_t cand = retry_.front();
-        retry_.pop_front();
-        const auto it = jobs_.find(cand);
-        if (it != jobs_.end() && it->second->state == JobState::kQueued)
-          id = cand;
-      }
-      if (id == 0) {
-        if (const auto item = queue_.try_pop(w.affinity)) {
-          const auto it = jobs_.find(item->id);
-          if (it != jobs_.end() && it->second->state == JobState::kQueued)
-            id = item->id;
-        }
-      }
-      if (id == 0) continue;
-      JobRec& rec = *jobs_[id];
-      if (rec.cancel_requested) {
-        rec.cancel_requested = false;
-        spec = rec.spec;
-        incarnation = -1;  // marks "cancel instead of dispatch"
-      } else {
-        rec.state = JobState::kRunning;
-        rec.worker = w.index;
-        rec.dispatch_ns = now_ns();
-        ++rec.attempts;
-        w.job = id;
-        w.progress_ns = now_ns();
-        spec = rec.spec;
-        incarnation = w.incarnation;
-        governor_.note_started(rec.spec);
-      }
-    }
-
-    if (incarnation < 0) {
-      JobResult r;
-      r.message = "cancelled while queued";
-      record_terminal(id, JobState::kCancelled, r);
-      continue;
-    }
-
-    // Injected process faults ride the submit frame — but only to the
-    // targeted worker's first incarnation. A restarted worker gets a clean
-    // plan, so an absorbed fault can never refire.
-    std::string payload = wire::spec_to_json(id, spec);
-    if (opts_.faults != nullptr && incarnation == 0) {
-      fault::FaultPlan& fp = *opts_.faults;
-      std::string extra;
-      if (fp.kill_worker == w.index && fp.kill_worker_pass >= 0 &&
-          fp.worker_kill_fires(w.index,
-                               static_cast<std::uint64_t>(fp.kill_worker_pass)))
-        extra += ",\"fk\":" + std::to_string(fp.kill_worker_pass);
-      if (fp.stall_worker == w.index && fp.stall_worker_pass >= 0 &&
-          fp.worker_stall_fires(w.index,
-                                static_cast<std::uint64_t>(fp.stall_worker_pass)))
-        extra += ",\"fs\":" + std::to_string(fp.stall_worker_pass) +
-                 ",\"fsm\":" + std::to_string(fp.stall_worker_ms);
-      if (fp.sdc_worker == w.index && fp.sdc_worker_pass >= 0 &&
-          fp.worker_sdc_fires(w.index,
-                              static_cast<std::uint64_t>(fp.sdc_worker_pass)))
-        extra += ",\"fe\":" + std::to_string(fp.sdc_worker_pass);
-      if (!extra.empty()) payload.insert(payload.size() - 1, extra);
-    }
-
-    if (!wire::write_frame(w.fd, wire::FrameType::kSubmit, payload)) {
-      // Pipe already broken: undo the assignment; the reaper will see the
-      // death and the job will fail over through the normal path.
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = jobs_.find(id);
-      if (it != jobs_.end() && it->second->state == JobState::kRunning) {
-        it->second->state = JobState::kQueued;
-        it->second->worker = -1;
-        retry_.push_back(id);
-      }
-      w.job = 0;
-    }
+  for (Peer& p : peers_) {
+    if (!p.live || !p.jobs.empty()) continue;
+    while (const auto id = ledger_.next(p.affinity))
+      if (assign(p, *id)) break;
   }
 }
 
-void Supervisor::monitor_loop() {
-  std::vector<pollfd> pfds;
-  std::vector<int> slot_of;  // pfds index -> slot index (-1 = wake pipe)
-
-  while (true) {
-    const bool stopping = stopping_.load(std::memory_order_acquire);
-
-    pfds.clear();
-    slot_of.clear();
-    if (wake_fds_[0] >= 0) {
-      pfds.push_back({wake_fds_[0], POLLIN, 0});
-      slot_of.push_back(-1);
-    }
-    for (const WorkerSlot& w : slots_)
-      if (w.live && w.fd >= 0) {
-        pfds.push_back({w.fd, POLLIN, 0});
-        slot_of.push_back(w.index);
-      }
-
-    const int timeout = std::max(5, opts_.beat_ms / 2);
-    ::poll(pfds.data(), pfds.size(), timeout);
-
-    for (std::size_t i = 0; i < pfds.size(); ++i) {
-      if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      if (slot_of[i] < 0) {
-        char buf[64];
-        while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
-        }
-        continue;
-      }
-      WorkerSlot& w = slots_[static_cast<std::size_t>(slot_of[i])];
-      for (;;) {
-        wire::Frame f;
-        const int got = wire::read_frame(w.fd, &w.acc, &f, 0);
-        if (got == 1) {
-          handle_frame(w, static_cast<std::uint32_t>(f.type), f.payload);
-          continue;
-        }
-        if (got < 0 && w.pid > 0) {
-          // EOF or protocol violation: the process is gone or garbling its
-          // pipe. SIGKILL makes the state unambiguous; waitpid finishes it.
-          ::kill(static_cast<pid_t>(w.pid), SIGKILL);
-        }
-        break;
-      }
-    }
-
-    // Reap. WNOHANG: this thread must keep polling pipes and heartbeats.
-    for (;;) {
-      int status = 0;
-      const pid_t pid = ::waitpid(-1, &status, WNOHANG);
-      if (pid <= 0) break;
-      for (WorkerSlot& w : slots_)
-        if (w.pid == static_cast<long>(pid)) {
-          const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-          worker_down(w, clean && (w.drained || stopping));
-          break;
-        }
-    }
-
-    // Hang detection: progress staleness, not beat arrival. An injected
-    // stall (or a livelocked team) beats happily while progress freezes.
-    if (opts_.hang_ms > 0) {
-      const std::int64_t now = now_ns();
-      for (WorkerSlot& w : slots_) {
-        bool hung = false;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          hung = w.live && w.job != 0 &&
-                 (now - w.progress_ns) / 1'000'000 > opts_.hang_ms;
-          if (hung) ++stats_.hang_kills;
-        }
-        if (hung && w.pid > 0) {
-          std::fprintf(stderr,
-                       "s35-serve: worker %d hung (progress stale %d ms), "
-                       "killing pid %ld\n",
-                       w.index, opts_.hang_ms, w.pid);
-          ::kill(static_cast<pid_t>(w.pid), SIGKILL);
-        }
-      }
-    }
-
-    // Restart due workers (capped + jittered backoff, first-class counter).
-    if (!stopping) {
-      const std::int64_t now = now_ns();
-      for (WorkerSlot& w : slots_) {
-        bool due = false;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          due = !w.live && !w.abandoned && w.restart_at_ns > 0 &&
-                now >= w.restart_at_ns;
-          if (due) w.restart_at_ns = 0;
-        }
-        if (due && spawn(w)) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.restarts;
-        }
-      }
-    }
-
-    // Forward cancels for running jobs; cancel queued ones directly.
-    {
-      std::vector<std::pair<std::uint64_t, int>> running_cancels;
-      std::vector<std::uint64_t> queued_cancels;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (auto& [id, rec] : jobs_) {
-          if (!rec->cancel_requested || terminal(rec->state)) continue;
-          if (rec->state == JobState::kRunning && rec->worker >= 0)
-            running_cancels.emplace_back(id, rec->worker);
-          else if (rec->state == JobState::kQueued)
-            queued_cancels.push_back(id);
-          rec->cancel_requested = false;
-        }
-      }
-      for (const auto& [id, slot] : running_cancels) {
-        const WorkerSlot& w = slots_[static_cast<std::size_t>(slot)];
-        if (w.live && w.fd >= 0)
-          wire::write_frame(w.fd, wire::FrameType::kCancel,
-                            "{\"job\":" + std::to_string(id) + "}");
-      }
-      for (const std::uint64_t id : queued_cancels) {
-        if (queue_.remove(id)) {
-          JobResult r;
-          r.message = "cancelled while queued";
-          record_terminal(id, JobState::kCancelled, r);
-        } else {
-          std::lock_guard<std::mutex> lock(mu_);
-          const auto it = jobs_.find(id);
-          if (it != jobs_.end() && it->second->state == JobState::kQueued)
-            it->second->cancel_requested = true;  // retry_ entry; re-check
-        }
-      }
-    }
-
-    if (!stopping) shed_expired_queued();
-    if (!stopping) dispatch();
-
-    // No execution capacity left? Fail what remains instead of hanging
-    // clients forever.
-    {
-      bool any_capacity = false;
-      std::size_t active = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const WorkerSlot& w : slots_)
-          if (w.live || (!w.abandoned && w.restart_at_ns > 0)) any_capacity = true;
-        active = active_jobs_;
-      }
-      if (!any_capacity && active > 0)
-        fail_active_jobs("no live workers remain (all abandoned)");
-    }
-
-    if (stopping) {
-      // Graceful exit: every job is already terminal (shutdown drained
-      // first). Ask live workers to drain + exit, give them a beat, then
-      // make sure with SIGKILL, and reap everything.
-      for (WorkerSlot& w : slots_)
-        if (w.live && w.fd >= 0) wire::write_frame(w.fd, wire::FrameType::kDrain, "{}");
-      const std::int64_t deadline = now_ns() + 3'000'000'000ll;  // 3 s
-      while (now_ns() < deadline) {
-        bool any_live = false;
-        for (WorkerSlot& w : slots_) {
-          if (!w.live) continue;
-          any_live = true;
-          wire::Frame f;
-          while (wire::read_frame(w.fd, &w.acc, &f, 0) == 1)
-            handle_frame(w, static_cast<std::uint32_t>(f.type), f.payload);
-          int status = 0;
-          const pid_t pid = ::waitpid(static_cast<pid_t>(w.pid), &status, WNOHANG);
-          if (pid == static_cast<pid_t>(w.pid)) worker_down(w, true);
-        }
-        if (!any_live) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-      for (WorkerSlot& w : slots_) {
-        if (w.pid > 0) {
-          ::kill(static_cast<pid_t>(w.pid), SIGKILL);
-          int status = 0;
-          ::waitpid(static_cast<pid_t>(w.pid), &status, 0);
-          worker_down(w, true);
-        }
-      }
-      return;
-    }
-  }
+void Supervisor::decorate_submit(const Peer& p, std::string* payload) {
+  // Injected process faults ride the submit frame — but only to the
+  // targeted worker's first incarnation. A restarted worker gets a clean
+  // plan, so an absorbed fault can never refire.
+  if (opts_.faults == nullptr || p.losses != 0) return;
+  fault::FaultPlan& fp = *opts_.faults;
+  const int w = p.index;
+  std::string extra;
+  if (fp.kill_worker == w && fp.kill_worker_pass >= 0 &&
+      fp.worker_kill_fires(w, static_cast<std::uint64_t>(fp.kill_worker_pass)))
+    extra += ",\"fk\":" + std::to_string(fp.kill_worker_pass);
+  if (fp.stall_worker == w && fp.stall_worker_pass >= 0 &&
+      fp.worker_stall_fires(w, static_cast<std::uint64_t>(fp.stall_worker_pass)))
+    extra += ",\"fs\":" + std::to_string(fp.stall_worker_pass) +
+             ",\"fsm\":" + std::to_string(fp.stall_worker_ms);
+  if (fp.sdc_worker == w && fp.sdc_worker_pass >= 0 &&
+      fp.worker_sdc_fires(w, static_cast<std::uint64_t>(fp.sdc_worker_pass)))
+    extra += ",\"fe\":" + std::to_string(fp.sdc_worker_pass);
+  if (!extra.empty()) payload->insert(payload->size() - 1, extra);
 }
-
-void Supervisor::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shut_down_) return;
-    shut_down_ = true;
-  }
-  draining_.store(true, std::memory_order_release);
-  queue_.close();  // stops admission; queued items stay dispatchable
-  wake();
-  // Graceful drain: every accepted job runs to a terminal state while the
-  // monitor keeps dispatching, failing over, and restarting workers.
-  drain(-1);
-  stopping_.store(true, std::memory_order_release);
-  wake();
-  if (monitor_.joinable()) monitor_.join();
-  if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
-  if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
-  wake_fds_[0] = wake_fds_[1] = -1;
-}
-
-#else  // !__unix__
-
-Supervisor::Supervisor(SupervisorOptions options)
-    : opts_(std::move(options)), queue_(1) {
-  std::fprintf(stderr, "s35-serve: worker supervision requires POSIX\n");
-}
-Supervisor::~Supervisor() = default;
-fault::Expected<std::uint64_t> Supervisor::submit(const JobSpec&) {
-  return fault::Status(fault::ErrorCode::kUnavailable, "supervision requires POSIX");
-}
-bool Supervisor::cancel(std::uint64_t) { return false; }
-std::optional<JobInfo> Supervisor::info(std::uint64_t) const { return std::nullopt; }
-std::optional<JobInfo> Supervisor::wait(std::uint64_t, std::int64_t) {
-  return std::nullopt;
-}
-bool Supervisor::drain(std::int64_t) { return true; }
-ServiceStats Supervisor::stats() const { return {}; }
-void Supervisor::shutdown() {}
-void Supervisor::monitor_loop() {}
-bool Supervisor::spawn(WorkerSlot&) { return false; }
-void Supervisor::handle_frame(WorkerSlot&, std::uint32_t, const std::string&) {}
-void Supervisor::on_result(WorkerSlot&, const std::string&) {}
-void Supervisor::worker_down(WorkerSlot&, bool) {}
-void Supervisor::failover(std::uint64_t, const char*) {}
-void Supervisor::dispatch() {}
-void Supervisor::record_terminal(std::uint64_t, JobState, const JobResult&) {}
-void Supervisor::fail_active_jobs(const char*) {}
-void Supervisor::shed_expired_queued() {}
-void Supervisor::wake() {}
-
-#endif
 
 }  // namespace s35::service

@@ -2,50 +2,33 @@
 //
 // Forks N worker processes (worker.h), each running its own warm
 // JobService, and multiplexes client jobs over them through the wire
-// protocol (wire.h). One monitor thread owns every worker pipe and the
-// process table; it is simultaneously the dispatcher, the heartbeat
-// examiner, and the reaper:
+// protocol (wire.h). The job table is the shared JobLedger and the monitor
+// loop is the shared PeerPlane (peer_plane.h: deliver-before-declare on
+// loss, progress-staleness hang kills, SDC escalation, cancel forwarding,
+// restart backoff, drain handshake). What is the supervisor's own:
 //
-//   death       waitpid(WNOHANG) after every poll round. Before declaring
-//               the in-flight job lost, the pipe is drained — a result
-//               written microseconds before the crash is still a result.
-//   hang        beats carry a pass-progress counter; a live worker whose
-//               progress has not advanced for hang_ms is SIGKILLed. Frame
-//               arrival alone proves nothing: an injected stall keeps the
-//               heartbeat thread beating while the job is frozen.
-//   escalation  a result of kSdcDetected means the in-process integrity
-//               ladder gave up — the worker is recycled and the job fails
-//               over like a crash.
+//   open        fork on a socketpair; a restarted worker gets a fresh
+//               process and the per-worker service template.
+//   death       waitpid(WNOHANG) on each worker after every poll round; EOF
+//               or a hang only SIGKILLs, the reap declares the loss.
+//   dispatch    window of one: each idle worker takes the next job, with
+//               shape affinity to the job it ran last.
 //
 // Failover is bit-exact: workers checkpoint at pass boundaries (format v2,
 // user_tag = completed steps), so a sibling resumes from the last durable
-// pass and ends bit-identical to a fault-free run. Exactly-once delivery:
-// terminal state is recorded once per job id; duplicate result frames are
-// dropped, and a job is re-dispatched only after its previous worker is
-// known dead. Restarts use capped+jittered backoff (fault::retry) and a
-// worker is abandoned after max_restarts; injected process faults are
-// forwarded only to a worker's first incarnation, so a fault never refires
-// after the plane has already absorbed it.
+// pass and ends bit-identical to a fault-free run; the checkpoint is
+// unlinked when the job turns terminal. A worker is abandoned after
+// max_restarts; injected process faults are forwarded only to a worker's
+// first incarnation, so a fault never refires after the plane has already
+// absorbed it.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault_plan.h"
 #include "fault/retry.h"
-#include "fault/status.h"
-#include "service/backend.h"
-#include "service/job.h"
-#include "service/queue.h"
+#include "service/peer_plane.h"
 #include "service/service.h"
 
 namespace s35::service {
@@ -79,7 +62,7 @@ struct SupervisorOptions {
   static SupervisorOptions from_env();
 };
 
-class Supervisor : public JobBackend {
+class Supervisor : public PeerPlane {
  public:
   explicit Supervisor(SupervisorOptions options = {});
   ~Supervisor() override;  // shutdown(): graceful drain, then reap workers
@@ -87,85 +70,20 @@ class Supervisor : public JobBackend {
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  fault::Expected<std::uint64_t> submit(const JobSpec& spec) override;
-  bool cancel(std::uint64_t id) override;
-  std::optional<JobInfo> info(std::uint64_t id) const override;
-  std::optional<JobInfo> wait(std::uint64_t id,
-                              std::int64_t timeout_ms = -1) override;
-  bool drain(std::int64_t timeout_ms = -1) override;
   ServiceStats stats() const override;
-
-  // Graceful drain: stops admission, finishes every accepted job (workers
-  // keep checkpointing in-flight work at pass boundaries throughout), asks
-  // workers to exit, reaps them. Idempotent. SIGTERM in `s35 serve` lands
-  // here.
-  void shutdown() override;
-
   const SupervisorOptions& options() const { return opts_; }
 
  private:
-  struct WorkerSlot {
-    int index = 0;
-    long pid = -1;  // pid_t, widened so the header stays platform-neutral
-    int fd = -1;
-    std::string acc;  // partial wire frames
-    int incarnation = 0;
-    std::uint64_t restarts = 0;
-    bool live = false;
-    bool abandoned = false;
-    bool drained = false;
-    std::uint64_t job = 0;       // outer id in flight; 0 = idle
-    std::uint64_t affinity = 0;  // shape key of the last completed job
-    std::uint64_t progress = 0;  // last beat's pass counter
-    std::int64_t progress_ns = 0;  // when progress last advanced
-    std::int64_t beat_ns = 0;      // when any beat last arrived
-    std::int64_t restart_at_ns = 0;  // backoff deadline while !live
-  };
-
-  struct JobRec {
-    JobSpec spec;
-    JobState state = JobState::kQueued;
-    JobResult result;
-    int attempts = 0;  // dispatches so far
-    bool cancel_requested = false;
-    std::int64_t submit_ns = 0;
-    std::int64_t dispatch_ns = 0;
-    int worker = -1;  // slot index while running
-  };
-
-  void monitor_loop();
-  bool spawn(WorkerSlot& w);
-  void handle_frame(WorkerSlot& w, std::uint32_t type, const std::string& payload);
-  void on_result(WorkerSlot& w, const std::string& payload);
-  void worker_down(WorkerSlot& w, bool expected);
-  void failover(std::uint64_t id, const char* why);
-  void dispatch();
-  void record_terminal(std::uint64_t id, JobState state, const JobResult& r);
-  void fail_active_jobs(const char* why);
-  // Realizes kExpired for queued jobs whose deadline already passed; called
-  // by submit and once per monitor round, with mu_ not held.
-  void shed_expired_queued();
-  void wake();
+  bool open_peer(Peer& p) override;
+  void retire(Peer& p, bool expected) override;
+  void detect_losses(bool stopping) override;
+  void dispatch() override;
+  void decorate_submit(const Peer& p, std::string* payload) override;
+  bool settled(const Peer& p) const override { return !p.live; }
+  void detach(Peer& p) override;
 
   SupervisorOptions opts_;
-  BoundedJobQueue queue_;
-  TenantGovernor governor_;
-  std::vector<WorkerSlot> slots_;
-  int wake_fds_[2] = {-1, -1};
-
-  mutable std::mutex mu_;  // jobs_, retry_, stats counters, slot metadata
-  std::condition_variable jobs_cv_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<JobRec>> jobs_;
-  std::deque<std::uint64_t> retry_;  // failed-over jobs, dispatched first
-  std::uint64_t next_id_ = 1;
-  std::uint64_t active_jobs_ = 0;
-
-  ServiceStats stats_;  // supervision counters; snapshot under mu_
-
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};
-  bool shut_down_ = false;  // guarded by mu_
-  std::thread monitor_;
+  std::vector<long> pids_;  // per worker; pid_t widened, -1 = none
 };
 
 }  // namespace s35::service

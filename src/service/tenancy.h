@@ -117,9 +117,9 @@ struct TenantCounters {
   double deficit = 0.0;  // DRR deficit snapshot (filled from the queue)
 };
 
-// Thread-safe admission governor shared by JobService and Supervisor. All
+// Thread-safe admission governor; every backend's JobLedger owns one. All
 // methods are cheap (a map lookup under one mutex); callers may hold their
-// own service lock while calling in — the governor never calls back out.
+// own lock while calling in — the governor never calls back out.
 class TenantGovernor {
  public:
   TenantGovernor() = default;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -49,7 +50,11 @@ SupervisorOptions sup_options(int workers) {
   SupervisorOptions o;
   o.workers = workers;
   o.beat_ms = 20;
-  o.checkpoint_dir = ::testing::TempDir();
+  // A private directory: the supervisor unlinks job-<id>.ckpt at every
+  // terminal, and ids restart at 1 in every plane, so a directory shared
+  // with another concurrently running suite would collide.
+  o.checkpoint_dir = ::testing::TempDir() + "/s35_supervisor_ckpt";
+  ::mkdir(o.checkpoint_dir.c_str(), 0755);
   o.checkpoint_every = 1;
   o.service = worker_options();
   return o;
