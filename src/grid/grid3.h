@@ -80,6 +80,13 @@ class Grid3 {
   T* row(long y, long z) { return data() + (z * ny_ + y) * pitch_; }
   const T* row(long y, long z) const { return data() + (z * ny_ + y) * pitch_; }
 
+  // Component-indexed row access shared with lbm::Lattice, so field-generic
+  // code (core/distributed.h, core/block_4d.h) serves both: a grid is a
+  // field with one component.
+  static constexpr int components = 1;
+  T* row(int /*c*/, long y, long z) { return row(y, z); }
+  const T* row(int /*c*/, long y, long z) const { return row(y, z); }
+
   void fill(T value) { storage_.fill(value); }
 
   // Fills every logical point with a deterministic pseudo-random value in

@@ -24,8 +24,8 @@
 //     team's heartbeats; reports which tid hung in which phase
 //     (distinguishing the stuck thread from its barrier-wait victims).
 //
-// Detection feeds a recovery ladder (see stencil/sweeps.h and
-// stencil/distributed.h): because the Jacobi source grid is read-only
+// Detection feeds a recovery ladder (see core/pass_loop.h and
+// core/distributed.h): because the Jacobi source grid is read-only
 // during a blocked pass, a poisoned pass is re-executed in memory from the
 // still-valid source planes — bit-exact, no I/O; only if corruption
 // persists (sticky faults, poisoned input) does the run escalate to the

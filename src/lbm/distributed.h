@@ -1,400 +1,85 @@
-// Distributed-memory-style domain decomposition for the LBM solver: the
-// lattice is split into Z slabs; each rank holds an extended local lattice
-// with R*dim_t halo planes per interior face, exchanges halos (all 19
-// distributions) before each blocked pass, and runs independently. Same
-// thick-halo correctness argument as stencil/distributed.h; the geometry
-// is sliced per rank from the global one (flags are time-invariant).
-//
-// Fault tolerance mirrors the stencil driver: attach a fault::FaultPlan
-// for verified (CRC-checked, retried) halo transfers; enable durable
-// checkpointing and permanent rank failure is survived by repartitioning
-// the survivors (geometry re-sliced from the retained global copy) and
-// restoring the last good checkpoint. See docs/RESILIENCE.md.
+// Distributed (Z-slab decomposed) LBM runs: the field-generic driver of
+// core/distributed.h over lbm::Lattice. Each rank holds its slice of the
+// global geometry (flags are time-invariant, so degraded-mode
+// repartitioning re-slices the retained global copy), and checkpoints are
+// kQ-array lattice files.
 #pragma once
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/crc32c.h"
-#include "fault/fault_plan.h"
-#include "fault/retry.h"
+#include "core/distributed.h"
 #include "grid/checkpoint.h"
 #include "lbm/sweeps.h"
-#include "stencil/distributed.h"  // CommStats
-#include "telemetry/telemetry.h"
 
 namespace s35::lbm {
 
-using stencil::CommStats;
+using core::CommStats;
 
 template <typename T>
-class DistributedLbmDriver {
-  static constexpr long R = 1;
-
+class LatticeField {
  public:
-  DistributedLbmDriver(const Geometry& global_geom, int ranks, int dim_t)
-      : nx_(global_geom.nx()), ny_(global_geom.ny()), nz_(global_geom.nz()),
-        ranks_(ranks), dim_t_(dim_t), halo_(static_cast<long>(R) * dim_t),
-        global_geom_(global_geom) {
-    S35_CHECK(ranks >= 1 && dim_t >= 1);
-    for (int r = 0; r < ranks; ++r) {
-      const auto [b, e] = parallel::chunk_range(nz_, ranks, r);
-      S35_CHECK_MSG(e - b >= halo_ || ranks == 1,
-                    "subdomain shallower than the R*dim_t halo");
-    }
-    build_partition(ranks);
+  using value_type = T;
+  using Array = Lattice<T>;
+  using Pair = LatticePair<T>;
+  using Physics = BgkParams<T>;
+  using Config = SweepConfig;
+  static constexpr long radius = 1;
+
+  explicit LatticeField(const Geometry& global) : global_(global) {}
+
+  static fault::Status save(const std::string& path, const Array& lat,
+                            std::uint64_t tag, fault::IoBackend* io) {
+    return grid::save_checkpoint_arrays_ex(path, lat, kQ, tag, io);
+  }
+  static fault::Status load(const std::string& path, Array& lat, std::uint64_t* tag,
+                            fault::IoBackend* io) {
+    return grid::load_checkpoint_arrays_ex(path, lat, kQ, tag, io);
   }
 
-  void scatter(const Lattice<T>& global) {
-    for (int r = 0; r < ranks_; ++r) {
-      Lattice<T>& lat = locals_[static_cast<std::size_t>(r)].src();
-      const long lo = extended_[static_cast<std::size_t>(r)].begin;
-      for (int i = 0; i < kQ; ++i)
-        for (long z = lo; z < extended_[static_cast<std::size_t>(r)].end; ++z)
-          for (long y = 0; y < ny_; ++y)
-            std::memcpy(lat.row(i, y, z - lo), global.row(i, y, z),
-                        static_cast<std::size_t>(nx_) * sizeof(T));
-    }
-  }
-
-  void gather(Lattice<T>& global) const {
-    for (int r = 0; r < ranks_; ++r) {
-      const Lattice<T>& lat = locals_[static_cast<std::size_t>(r)].src();
-      const long lo = extended_[static_cast<std::size_t>(r)].begin;
-      for (int i = 0; i < kQ; ++i)
-        for (long z = owned_[static_cast<std::size_t>(r)].begin;
-             z < owned_[static_cast<std::size_t>(r)].end; ++z)
-          for (long y = 0; y < ny_; ++y)
-            std::memcpy(global.row(i, y, z), lat.row(i, y, z - lo),
-                        static_cast<std::size_t>(nx_) * sizeof(T));
-    }
-  }
-
-  // ---- fault tolerance configuration (all optional) ----
-  void set_fault_plan(fault::FaultPlan* plan) { plan_ = plan; }
-  void set_retry_policy(const fault::RetryPolicy& p) { retry_ = p; }
-  void set_io_backend(fault::IoBackend* io) { io_ = io; }
-
-  // Arms the online-integrity layer for every per-rank pass; mirrors
-  // stencil::DistributedStencilDriver::set_integrity.
-  void set_integrity(const integrity::IntegrityOptions& opts,
-                     integrity::IntegrityMonitor* monitor,
-                     integrity::Watchdog* watchdog = nullptr) {
-    ictx_.options = opts;
-    ictx_.monitor = monitor;
-    ictx_.watchdog = watchdog;
-  }
-
-  void enable_checkpointing(const std::string& path, int every_passes) {
-    S35_CHECK(every_passes >= 1);
-    ckpt_path_ = path;
-    checkpoint_every_ = every_passes;
-  }
-
-  // A nonzero `max_steps` rejects checkpoints whose completed-step tag
-  // exceeds what the run schedules (kMismatch), as in the stencil driver.
-  fault::Status resume_from(const std::string& path, std::uint64_t max_steps = 0) {
-    Lattice<T> global(nx_, ny_, nz_);
-    std::uint64_t tag = 0;
-    if (fault::Status st = grid::load_checkpoint_arrays_ex(path, global, kQ, &tag, io_);
-        !st.ok())
-      return st;
-    if (max_steps > 0 && tag > max_steps)
-      return {fault::ErrorCode::kMismatch,
-              "checkpoint claims " + std::to_string(tag) +
-                  " completed steps, run schedules only " +
-                  std::to_string(max_steps)};
-    scatter(global);
-    steps_done_ = tag;
-    last_good_ = path;
-    return {};
-  }
-
-  fault::Status run_guarded(const BgkParams<T>& prm, int steps, const SweepConfig& cfg,
-                            core::Engine35& engine) {
-    const std::uint64_t target = steps_done_ + static_cast<std::uint64_t>(steps);
-    if (checkpoint_every_ > 0 && last_good_.empty())
-      (void)write_checkpoint();  // failure tolerated: counted, run continues
-    while (steps_done_ < target) {
-      if (plan_ != nullptr) {
-        int dead = -1;
-        for (int r = 0; r < ranks_; ++r)
-          if (plan_->rank_fails(r, pass_index_)) dead = r;
-        if (dead >= 0) {
-          if (fault::Status st = recover_from_rank_failure(dead); !st.ok()) return st;
-          continue;
-        }
-      }
-      const std::uint64_t left = target - steps_done_;
-      const int dt = left < static_cast<std::uint64_t>(dim_t_)
-                         ? static_cast<int>(left)
-                         : dim_t_;
-      if (fault::Status st = exchange_halos(); !st.ok()) {
-        if (st.code() != fault::ErrorCode::kRetriesExhausted || last_good_.empty())
-          return st;
-        if (fault::Status rst = restore(); !rst.ok()) return rst;
-        continue;
-      }
-      bool escalate = false;
-      for (int r = 0; r < ranks_ && !escalate; ++r) {
-        auto& pair = locals_[static_cast<std::size_t>(r)];
-        if (fault::Status st = run_rank_pass(r, prm, pair, dt, cfg, engine);
-            !st.ok()) {
-          if (st.code() != fault::ErrorCode::kSdcDetected) return st;
-          if (last_good_.empty()) return st;
-          escalate = true;
-        } else {
-          pair.swap();
-        }
-      }
-      if (escalate) {
-        ++pass_index_;  // the replayed pass gets a fresh fault-plan ordinal
-        ++stats_.sdc_restores;
-        if (ictx_.monitor != nullptr) {
-          ictx_.monitor->clear_poison();
-          ictx_.monitor->note_checkpoint_restore();
-        }
-        if (fault::Status rst = restore(); !rst.ok()) return rst;
-        continue;
-      }
-      stats_.passes += 1;
-      stats_.time_steps += static_cast<std::uint64_t>(dt);
-      steps_done_ += static_cast<std::uint64_t>(dt);
-      ++pass_index_;
-      if (checkpoint_every_ > 0 && pass_index_ % checkpoint_every_ == 0)
-        (void)write_checkpoint();  // failure tolerated: counted, run continues
-    }
-    return {};
-  }
-
-  void run(const BgkParams<T>& prm, int steps, const SweepConfig& cfg,
-           core::Engine35& engine) {
-    const fault::Status st = run_guarded(prm, steps, cfg, engine);
-    S35_CHECK_MSG(st.ok(), st.to_string().c_str());
-  }
-
-  const CommStats& stats() const { return stats_; }
-  int ranks() const { return ranks_; }
-  std::uint64_t steps_done() const { return steps_done_; }
-
- private:
-  struct Extent {
-    long begin, end;
-  };
-
-  bool partition_viable(int ranks) const {
-    if (ranks == 1) return true;
-    for (int r = 0; r < ranks; ++r) {
-      const auto [b, e] = parallel::chunk_range(nz_, ranks, r);
-      if (e - b < halo_) return false;
-    }
-    return true;
-  }
-
-  void build_partition(int ranks) {
-    locals_.clear();
+  // Slices the global geometry for every rank's extended Z range.
+  void slice(const std::vector<core::Extent>& extended) {
     geoms_.clear();
-    owned_.clear();
-    extended_.clear();
-    for (int r = 0; r < ranks; ++r) {
-      const auto [b, e] = parallel::chunk_range(nz_, ranks, r);
-      const long lo = (r == 0) ? b : b - halo_;
-      const long hi = (r == ranks - 1) ? e : e + halo_;
-      owned_.push_back({b, e});
-      extended_.push_back({lo, hi});
-      locals_.emplace_back(nx_, ny_, hi - lo);
-
-      // Slice the global geometry for this rank's extended range.
-      auto geom = std::make_unique<Geometry>(nx_, ny_, hi - lo);
-      for (long z = lo; z < hi; ++z)
-        for (long y = 0; y < ny_; ++y)
-          std::memcpy(geom->row(y, z - lo), global_geom_.row(y, z),
+    for (const core::Extent& ext : extended) {
+      auto geom = std::make_unique<Geometry>(global_.nx(), global_.ny(), ext.size());
+      for (long z = ext.begin; z < ext.end; ++z)
+        for (long y = 0; y < global_.ny(); ++y)
+          std::memcpy(geom->row(y, z - ext.begin), global_.row(y, z),
                       static_cast<std::size_t>(geom->pitch()));
       geom->finalize(/*frozen_z_edges=*/true);
       geoms_.push_back(std::move(geom));
     }
-    ranks_ = ranks;
   }
 
-  std::uint32_t halo_crc(const Lattice<T>& lat, long z_begin, long z_end,
-                         long local_lo) const {
-    const std::size_t row_bytes = static_cast<std::size_t>(nx_) * sizeof(T);
-    std::uint32_t crc = 0;
-    for (int i = 0; i < kQ; ++i)
-      for (long z = z_begin; z < z_end; ++z)
-        for (long y = 0; y < ny_; ++y)
-          crc = crc32c(lat.row(i, y, z - local_lo), row_bytes, crc);
-    return crc;
-  }
-
-  fault::Status exchange_halos() {
-    const std::size_t row_bytes = static_cast<std::size_t>(nx_) * sizeof(T);
-    for (int r = 0; r + 1 < ranks_; ++r) {
-      auto& left = locals_[static_cast<std::size_t>(r)];
-      auto& right = locals_[static_cast<std::size_t>(r + 1)];
-      const long lb = extended_[static_cast<std::size_t>(r)].begin;
-      const long rb = extended_[static_cast<std::size_t>(r + 1)].begin;
-      const long face = owned_[static_cast<std::size_t>(r)].end;
-      for (int dir = 0; dir < 2; ++dir) {
-        Lattice<T>& src = dir == 0 ? left.src() : right.src();
-        Lattice<T>& dst = dir == 0 ? right.src() : left.src();
-        const long src_lo = dir == 0 ? lb : rb;
-        const long dst_lo = dir == 0 ? rb : lb;
-        const long z0 = dir == 0 ? face - halo_ : face;
-        const long z1 = dir == 0 ? face : face + halo_;
-        const auto copy_once = [&] {
-          for (int i = 0; i < kQ; ++i)
-            for (long z = z0; z < z1; ++z)
-              for (long y = 0; y < ny_; ++y)
-                std::memcpy(dst.row(i, y, z - dst_lo), src.row(i, y, z - src_lo),
-                            row_bytes);
-        };
-        if (plan_ == nullptr) {
-          copy_once();
-        } else {
-          const std::uint64_t msg = 2ull * static_cast<std::uint64_t>(r) +
-                                    static_cast<std::uint64_t>(dir);
-          const std::uint32_t want = halo_crc(src, z0, z1, src_lo);
-          int attempts = 0;
-          const std::int64_t t0 = telemetry::detail::now_ns();
-          // Per-(pass, message) salt decorrelates concurrent retry delays.
-          const std::uint64_t salt = (pass_index_ << 16) ^ msg;
-          fault::Status st = fault::retry_with_backoff(retry_, salt, [&](int attempt) {
-            attempts = attempt + 1;
-            copy_once();
-            switch (plan_->halo_fault(pass_index_, msg, attempt)) {
-              case fault::HaloFault::kCorrupt:
-                reinterpret_cast<unsigned char*>(dst.row(0, 0, z0 - dst_lo))[0] ^= 0x01;
-                break;
-              case fault::HaloFault::kDrop:
-                std::memset(dst.row(0, 0, z0 - dst_lo), 0, row_bytes);
-                break;
-              case fault::HaloFault::kNone:
-                break;
-            }
-            if (halo_crc(dst, z0, z1, dst_lo) != want) {
-              ++stats_.halo_faults;
-              return fault::Status(fault::ErrorCode::kTransient,
-                                   "halo message checksum mismatch");
-            }
-            return fault::Status();
-          });
-          if (attempts > 1) {
-            stats_.halo_retries += static_cast<std::uint64_t>(attempts - 1);
-            telemetry::record_ns(0, telemetry::Phase::kRecovery,
-                                 telemetry::detail::now_ns() - t0);
-          }
-          if (!st.ok()) return st;
-        }
-        stats_.messages += 1;
-        stats_.bytes += static_cast<std::uint64_t>(kQ) * halo_ * ny_ * row_bytes;
-      }
-    }
-    return {};
-  }
-
-  // One blocked pass on rank r with the in-memory re-execution rung (see
-  // stencil::DistributedStencilDriver::run_rank_pass).
-  fault::Status run_rank_pass(int r, const BgkParams<T>& prm, LatticePair<T>& pair,
-                              int dt, const SweepConfig& cfg, core::Engine35& engine) {
-    integrity::IntegrityContext ictx = ictx_;
-    ictx.plan = plan_;
-    ictx.pass = pass_index_;
-    const Geometry& geom = *geoms_[static_cast<std::size_t>(r)];
-    const long dx = cfg.dim_x > 0 ? cfg.dim_x : nx_;
-    const long dy = cfg.dim_y > 0 ? cfg.dim_y : ny_;
-    const bool armed = ictx.active();
-    for (int attempt = 0;; ++attempt) {
-      if (attempt == 0) {
-        run_lbm_engine_pass<T, simd::DefaultTag>(geom, prm, pair.src(), pair.dst(),
-                                                 dx, dy, dt, cfg.serialized, engine,
-                                                 {}, ictx);
-      } else {
-        const telemetry::ScopedPhase phase(0, telemetry::Phase::kRecovery);
-        run_lbm_engine_pass<T, simd::DefaultTag>(geom, prm, pair.src(), pair.dst(),
-                                                 dx, dy, dt, cfg.serialized, engine,
-                                                 {}, ictx);
-      }
-      if (!armed || !ictx_.monitor->poisoned()) return {};
-      ++stats_.sdc_detected;
-      if (attempt >= ictx.options.max_reexec)
-        return {fault::ErrorCode::kSdcDetected,
-                "SDC persisted after " + std::to_string(ictx.options.max_reexec) +
-                    " in-memory re-executions of LBM pass " +
-                    std::to_string(pass_index_)};
-      ictx_.monitor->clear_poison();
-      ictx_.monitor->note_reexec();
-      ++stats_.sdc_reexecs;
-    }
-  }
-
-  fault::Status write_checkpoint() {
-    Lattice<T> global(nx_, ny_, nz_);
-    gather(global);
-    const fault::Status st =
-        grid::save_checkpoint_arrays_ex(ckpt_path_, global, kQ, steps_done_, io_);
-    if (st.ok()) {
-      ++stats_.checkpoints_written;
-      last_good_ = ckpt_path_;
-    } else {
-      ++stats_.checkpoint_failures;
-    }
+  fault::Status pass(int rank, const BgkParams<T>& prm, Pair& pair, int steps,
+                     const core::PassShape& shape, const SweepConfig& cfg,
+                     core::Engine35& engine, const integrity::IntegrityContext& ictx,
+                     core::ReexecTally* tally) const {
+    const Geometry& geom = *geoms_[static_cast<std::size_t>(rank)];
+    fault::Status st;
+    simd::dispatch(cfg.kernel.isa, [&](auto tag) {
+      st = run_lbm_engine_steps<T, decltype(tag)>(geom, prm, pair, steps, shape, cfg,
+                                                  ictx, /*reexecute=*/true, engine,
+                                                  tally);
+    });
     return st;
   }
 
-  fault::Status restore() {
-    const telemetry::ScopedPhase phase(0, telemetry::Phase::kRecovery);
-    Lattice<T> global(nx_, ny_, nz_);
-    std::uint64_t tag = 0;
-    if (fault::Status st =
-            grid::load_checkpoint_arrays_ex(last_good_, global, kQ, &tag, io_);
-        !st.ok())
-      return st;
-    scatter(global);
-    steps_done_ = tag;
-    ++stats_.restores;
-    return {};
-  }
-
-  fault::Status recover_from_rank_failure(int dead_rank) {
-    const telemetry::ScopedPhase phase(0, telemetry::Phase::kRecovery);
-    ++stats_.rank_failures;
-    if (last_good_.empty())
-      return {fault::ErrorCode::kUnavailable,
-              "rank " + std::to_string(dead_rank) +
-                  " failed with no checkpoint to restore from"};
-    int survivors = ranks_ > 1 ? ranks_ - 1 : 1;
-    while (survivors > 1 && !partition_viable(survivors)) --survivors;
-    if (plan_ != nullptr && plan_->alloc_fails(pass_index_))
-      return {fault::ErrorCode::kAllocFailure,
-              "allocation refused while repartitioning to " +
-                  std::to_string(survivors) + " ranks"};
-    build_partition(survivors);
-    return restore();
-  }
-
-  long nx_, ny_, nz_;
-  int ranks_;
-  int dim_t_;
-  long halo_;
-  Geometry global_geom_;  // retained for degraded-mode re-slicing
-  std::vector<LatticePair<T>> locals_;
+ private:
+  Geometry global_;
   std::vector<std::unique_ptr<Geometry>> geoms_;
-  std::vector<Extent> owned_;
-  std::vector<Extent> extended_;
-  CommStats stats_;
+};
 
-  fault::FaultPlan* plan_ = nullptr;
-  fault::IoBackend* io_ = nullptr;
-  fault::RetryPolicy retry_;
-  integrity::IntegrityContext ictx_;  // plan/pass filled per rank pass
-  std::string ckpt_path_;
-  std::string last_good_;
-  int checkpoint_every_ = 0;
-  std::uint64_t pass_index_ = 0;
-  std::uint64_t steps_done_ = 0;
+template <typename T>
+class DistributedLbmDriver : public core::ZSlabDriver<LatticeField<T>> {
+ public:
+  DistributedLbmDriver(const Geometry& global_geom, int ranks, int dim_t)
+      : core::ZSlabDriver<LatticeField<T>>(LatticeField<T>(global_geom),
+                                           global_geom.nx(), global_geom.ny(),
+                                           global_geom.nz(), ranks, dim_t) {}
 };
 
 }  // namespace s35::lbm

@@ -110,6 +110,8 @@ class Geometry {
 template <typename T>
 class Lattice {
  public:
+  static constexpr int components = kQ;
+
   Lattice(long nx, long ny, long nz)
       : nx_(nx), ny_(ny), nz_(nz), pitch_(grid::padded_pitch(nx, sizeof(T))) {
     for (auto& f : f_)

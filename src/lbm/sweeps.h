@@ -14,8 +14,10 @@
 
 #include <string>
 
+#include "core/block_4d.h"
 #include "core/engine.h"
 #include "core/kernel_options.h"
+#include "core/pass_loop.h"
 #include "fault/status.h"
 #include "integrity/integrity.h"
 #include "lbm/slab_kernel.h"
@@ -111,29 +113,41 @@ void lbm_step_naive(const Geometry& geom, const BgkParams<T>& prm,
 
 // --------------------------------------------------------- Engine35-based
 
+// Runs `steps` time steps of engine passes shaped by `shape` through the
+// shared pass loop (core/pass_loop.h) with an LbmSlabKernel; `reexecute`
+// arms the in-memory re-execution rung.
 template <typename T, typename Tag>
-void run_lbm_engine_pass(const Geometry& geom, const BgkParams<T>& prm,
-                         const Lattice<T>& src, Lattice<T>& dst, long dim_x,
-                         long dim_y, int dim_t, bool serialized,
-                         core::Engine35& engine,
-                         const core::KernelOptions& opts = {},
-                         const integrity::IntegrityContext& ictx = {},
-                         core::ScheduleFamily family = core::ScheduleFamily::kPaper35D,
-                         long diamond_width = 0) {
-  const core::Tiling tiling(src.nx(), src.ny(), dim_x, dim_y, 1, dim_t);
-  const core::TemporalSchedule sched(src.nz(), 1, dim_t, serialized, family,
-                                     diamond_width);
-  LbmSlabKernel<T, Tag> kernel(geom, prm, src, dst, dim_x, dim_y, dim_t,
-                               sched.planes_per_instance(), opts, ictx);
-  engine.run_pass(kernel, tiling, sched);
+fault::Status run_lbm_engine_steps(const Geometry& geom, const BgkParams<T>& prm,
+                                   LatticePair<T>& pair, int steps,
+                                   const core::PassShape& shape, const SweepConfig& cfg,
+                                   const integrity::IntegrityContext& ictx,
+                                   bool reexecute, core::Engine35& engine,
+                                   core::ReexecTally* tally = nullptr) {
+  return core::run_passes(
+      pair, steps, shape, ictx, reexecute, engine,
+      [&](const Lattice<T>& src, Lattice<T>& dst, int dim_t, int planes,
+          const integrity::IntegrityContext& kctx) {
+        return LbmSlabKernel<T, Tag>(geom, prm, src, dst, shape.dim_x, shape.dim_y,
+                                     dim_t, planes, cfg.kernel, kctx);
+      },
+      tally);
 }
 
-// -------------------------------------------------------------- 4D blocks
-
-template <typename T, typename Tag>
-void run_lbm_4d_pass(const Geometry& geom, const BgkParams<T>& prm,
-                     const Lattice<T>& src, Lattice<T>& dst, long dim_x, long dim_y,
-                     long dim_z, int dim_t, parallel::ThreadTeam& team);
+// Pass shape of an Engine35-based variant (whole-plane tile for
+// kTemporalOnly).
+template <typename T>
+core::PassShape engine_shape(Variant variant, const SweepConfig& cfg,
+                             const Lattice<T>& lat) {
+  core::PassShape shape = core::config_shape(cfg, 1);
+  if (variant == Variant::kTemporalOnly) {
+    shape.dim_x = lat.nx();
+    shape.dim_y = lat.ny();
+  } else {
+    S35_CHECK_MSG(cfg.dim_x > 0, "kBlocked35D needs dim_x");
+    if (shape.dim_y <= 0) shape.dim_y = shape.dim_x;
+  }
+  return shape;
+}
 
 // ------------------------------------------------------------- top level
 
@@ -152,58 +166,24 @@ void run_lbm(Variant variant, const Geometry& geom, const BgkParams<T>& prm,
       return;
 
     case Variant::kTemporalOnly:
-    case Variant::kBlocked35D: {
-      long dim_x, dim_y;
-      if (variant == Variant::kTemporalOnly) {
-        dim_x = pair.src().nx();
-        dim_y = pair.src().ny();
-      } else {
-        S35_CHECK_MSG(cfg.dim_x > 0, "kBlocked35D needs dim_x");
-        dim_x = cfg.dim_x;
-        dim_y = cfg.dim_y > 0 ? cfg.dim_y : cfg.dim_x;
-      }
-      S35_CHECK(cfg.dim_t >= 1);
-      integrity::IntegrityContext ictx = cfg.integrity;
-      int remaining = steps;
-      if (remaining >= cfg.dim_t) {
-        const core::Tiling tiling(pair.src().nx(), pair.src().ny(), dim_x, dim_y, 1,
-                                  cfg.dim_t);
-        const core::TemporalSchedule sched(pair.src().nz(), 1, cfg.dim_t,
-                                           cfg.serialized, cfg.family, cfg.dim_z);
-        LbmSlabKernel<T, Tag> kernel(geom, prm, pair.src(), pair.dst(), dim_x, dim_y,
-                                     cfg.dim_t, sched.planes_per_instance(),
-                                     cfg.kernel, ictx);
-        while (remaining >= cfg.dim_t) {
-          kernel.rebind(pair.src(), pair.dst());
-          kernel.set_integrity_pass(ictx.pass);
-          engine.run_pass(kernel, tiling, sched);
-          pair.swap();
-          ++ictx.pass;
-          remaining -= cfg.dim_t;
-        }
-      }
-      if (remaining > 0) {
-        run_lbm_engine_pass<T, Tag>(geom, prm, pair.src(), pair.dst(), dim_x, dim_y,
-                                    remaining, cfg.serialized, engine, cfg.kernel,
-                                    ictx, cfg.family, cfg.dim_z);
-        pair.swap();
-      }
+    case Variant::kBlocked35D:
+      (void)run_lbm_engine_steps<T, Tag>(geom, prm, pair, steps,
+                                         engine_shape(variant, cfg, pair.src()), cfg,
+                                         cfg.integrity, /*reexecute=*/false, engine);
       return;
-    }
 
     case Variant::kBlocked4D: {
       S35_CHECK_MSG(cfg.dim_x > 0, "kBlocked4D needs dim_x");
-      const long dx = cfg.dim_x;
-      const long dy = cfg.dim_y > 0 ? cfg.dim_y : dx;
-      const long dz = cfg.dim_z > 0 ? cfg.dim_z : dx;
-      int remaining = steps;
-      while (remaining > 0) {
-        const int dt = remaining < cfg.dim_t ? remaining : cfg.dim_t;
-        run_lbm_4d_pass<T, Tag>(geom, prm, pair.src(), pair.dst(), dx, dy, dz, dt,
-                                engine.team());
-        pair.swap();
-        remaining -= dt;
-      }
+      S35_CHECK(geom.finalized());
+      const long bx = cfg.dim_x;
+      const long by = cfg.dim_y > 0 ? cfg.dim_y : bx;
+      const long bz = cfg.dim_z > 0 ? cfg.dim_z : bx;
+      const CollideCtx<T> ctx = make_collide_ctx(prm);
+      core::run_4d_blocks<T>(
+          pair, steps, 1, bx, by, bz, cfg.dim_t, engine.team(),
+          [&](const auto& in, const auto& out, long y, long z, core::Extent vx) {
+            lbm_update_row<T, Tag>(geom, ctx, in, out, y, z, vx.begin, vx.end);
+          });
       return;
     }
   }
@@ -232,74 +212,9 @@ fault::Status run_lbm_verified(Variant variant, const Geometry& geom,
                                core::Engine35& engine) {
   S35_CHECK_MSG(variant == Variant::kTemporalOnly || variant == Variant::kBlocked35D,
                 "run_lbm_verified needs an Engine35 variant");
-  S35_CHECK(steps >= 0);
-  long dim_x, dim_y;
-  if (variant == Variant::kTemporalOnly) {
-    dim_x = pair.src().nx();
-    dim_y = pair.src().ny();
-  } else {
-    S35_CHECK_MSG(cfg.dim_x > 0, "kBlocked35D needs dim_x");
-    dim_x = cfg.dim_x;
-    dim_y = cfg.dim_y > 0 ? cfg.dim_y : cfg.dim_x;
-  }
-  S35_CHECK(cfg.dim_t >= 1);
-
-  integrity::IntegrityContext ictx = cfg.integrity;
-  integrity::IntegrityMonitor* mon = ictx.monitor;
-  auto run_checked = [&](auto& kernel, const core::Tiling& tiling,
-                         const core::TemporalSchedule& sched) -> fault::Status {
-    for (int attempt = 0;; ++attempt) {
-      kernel.rebind(pair.src(), pair.dst());
-      kernel.set_integrity_pass(ictx.pass);
-      if (attempt == 0) {
-        engine.run_pass(kernel, tiling, sched);
-      } else {
-        const telemetry::ScopedPhase phase(0, telemetry::Phase::kRecovery);
-        engine.run_pass(kernel, tiling, sched);
-      }
-      if (!ictx.active() || !mon->poisoned()) return fault::ok_status();
-      if (attempt >= ictx.options.max_reexec) {
-        return fault::Status(fault::ErrorCode::kSdcDetected,
-                             "SDC persisted after " +
-                                 std::to_string(ictx.options.max_reexec) +
-                                 " in-memory re-executions of LBM pass " +
-                                 std::to_string(ictx.pass));
-      }
-      mon->clear_poison();
-      mon->note_reexec();
-    }
-  };
-
-  int remaining = steps;
-  if (remaining >= cfg.dim_t) {
-    const core::Tiling tiling(pair.src().nx(), pair.src().ny(), dim_x, dim_y, 1,
-                              cfg.dim_t);
-    const core::TemporalSchedule sched(pair.src().nz(), 1, cfg.dim_t, cfg.serialized,
-                                       cfg.family, cfg.dim_z);
-    LbmSlabKernel<T, Tag> kernel(geom, prm, pair.src(), pair.dst(), dim_x, dim_y,
-                                 cfg.dim_t, sched.planes_per_instance(), cfg.kernel,
-                                 ictx);
-    while (remaining >= cfg.dim_t) {
-      if (fault::Status st = run_checked(kernel, tiling, sched); !st.ok()) return st;
-      pair.swap();
-      ++ictx.pass;
-      remaining -= cfg.dim_t;
-    }
-  }
-  if (remaining > 0) {
-    const core::Tiling tiling(pair.src().nx(), pair.src().ny(), dim_x, dim_y, 1,
-                              remaining);
-    const core::TemporalSchedule sched(pair.src().nz(), 1, remaining, cfg.serialized,
-                                       cfg.family, cfg.dim_z);
-    LbmSlabKernel<T, Tag> kernel(geom, prm, pair.src(), pair.dst(), dim_x, dim_y,
-                                 remaining, sched.planes_per_instance(), cfg.kernel,
-                                 ictx);
-    if (fault::Status st = run_checked(kernel, tiling, sched); !st.ok()) return st;
-    pair.swap();
-  }
-  return fault::ok_status();
+  return run_lbm_engine_steps<T, Tag>(geom, prm, pair, steps,
+                                      engine_shape(variant, cfg, pair.src()), cfg,
+                                      cfg.integrity, /*reexecute=*/true, engine);
 }
 
 }  // namespace s35::lbm
-
-#include "lbm/sweep_4d.h"

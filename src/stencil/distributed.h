@@ -1,482 +1,60 @@
-// Distributed-memory-style domain decomposition with temporal blocking.
-//
-// The multicore-aware temporal blocking line of work the paper builds on
-// (Wittmann et al. [22], Treibig et al. [23]) extends the scheme across
-// address spaces: the grid is decomposed into `ranks` subdomains along Z;
-// before each pass of dim_t steps every rank exchanges halo slabs of
-// thickness H = R*dim_t with its Z neighbors, then runs the 3.5D engine on
-// its extended local grid completely independently. Correctness is the
-// same thick-halo argument as stencil/periodic.h: influence from a halo's
-// outer (frozen) edge travels R planes per step and cannot reach the owned
-// region within one pass.
-//
-// Ranks are simulated in-process (each has its own grids and its own
-// engine pass) and the exchange is a memcpy — the communication *volume*
-// and *message count* accounting is what an MPI implementation would see:
-// per pass each interior face moves H planes once, so temporal blocking
-// divides the message count by dim_t at constant bytes per time step —
-// the latency-amortization benefit distributed stencil codes chase.
-//
-// Fault tolerance (optional, zero-overhead when unconfigured): attach a
-// fault::FaultPlan and the driver treats every halo message as a verified
-// transfer — source CRC32C against destination CRC32C, the signal a
-// checksumming transport would deliver — retrying torn transfers with
-// capped exponential backoff. Enable checkpointing and the driver writes
-// durable format-v2 checkpoints (completed steps in the user tag) every N
-// passes; a permanent rank failure is then survived by repartitioning the
-// dead rank's slab across the survivors (degraded mode) and restoring the
-// last good checkpoint, replaying from there. Because results are
-// bitwise rank-count-independent, a recovered run finishes bit-identical
-// to a fault-free one. All events are counted in CommStats and charged to
-// the telemetry kRecovery phase.
+// Distributed (Z-slab decomposed) stencil runs: the field-generic driver of
+// core/distributed.h over grid::Grid3, which brings no per-rank state and
+// checkpoints as a single-array grid file.
 #pragma once
 
+#include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/crc32c.h"
-#include "fault/fault_plan.h"
-#include "fault/retry.h"
+#include "core/distributed.h"
 #include "grid/checkpoint.h"
 #include "stencil/sweeps.h"
-#include "telemetry/telemetry.h"
 
 namespace s35::stencil {
 
-struct CommStats {
-  std::uint64_t messages = 0;       // one per (face, direction, pass)
-  std::uint64_t bytes = 0;          // payload exchanged
-  std::uint64_t passes = 0;
-  std::uint64_t time_steps = 0;
+using core::CommStats;
 
-  // Fault-tolerance accounting: transient halo faults detected, the
-  // retransmits that absorbed them, durable checkpoints written (and
-  // write failures tolerated), restores from checkpoint, and permanent
-  // rank failures survived via degraded repartitioning.
-  std::uint64_t halo_faults = 0;
-  std::uint64_t halo_retries = 0;
-  std::uint64_t checkpoints_written = 0;
-  std::uint64_t checkpoint_failures = 0;
-  std::uint64_t restores = 0;
-  std::uint64_t rank_failures = 0;
+template <typename S, typename T>
+struct GridField {
+  using value_type = T;
+  using Array = grid::Grid3<T>;
+  using Pair = grid::GridPair<T>;
+  using Physics = S;
+  using Config = SweepConfig;
+  static constexpr long radius = S::radius;
 
-  // Online-integrity accounting (set_integrity): SDC detections, the
-  // in-memory pass re-executions that absorbed them, and the escalations
-  // to a checkpoint restore when re-execution did not converge.
-  std::uint64_t sdc_detected = 0;
-  std::uint64_t sdc_reexecs = 0;
-  std::uint64_t sdc_restores = 0;
-
-  double bytes_per_step() const {
-    return time_steps == 0 ? 0.0 : static_cast<double>(bytes) / time_steps;
+  static fault::Status save(const std::string& path, const Array& g, std::uint64_t tag,
+                            fault::IoBackend* io) {
+    return grid::save_checkpoint_ex(path, g, tag, io);
   }
-  double messages_per_step() const {
-    return time_steps == 0 ? 0.0 : static_cast<double>(messages) / time_steps;
+  static fault::Status load(const std::string& path, Array& g, std::uint64_t* tag,
+                            fault::IoBackend* io) {
+    return grid::load_checkpoint_ex(path, g, tag, io);
+  }
+
+  void slice(const std::vector<core::Extent>& /*extended*/) {}
+
+  fault::Status pass(int /*rank*/, const S& stencil, Pair& pair, int steps,
+                     const core::PassShape& shape, const SweepConfig& cfg,
+                     core::Engine35& engine, const integrity::IntegrityContext& ictx,
+                     core::ReexecTally* tally) const {
+    fault::Status st;
+    simd::dispatch(cfg.kernel.isa, [&](auto tag) {
+      st = run_engine_steps<S, T, decltype(tag)>(stencil, pair, steps, shape, cfg, ictx,
+                                                 /*reexecute=*/true, engine, tally);
+    });
+    return st;
   }
 };
 
 template <typename S, typename T>
-class DistributedStencilDriver {
-  static constexpr long R = S::radius;
-
+class DistributedStencilDriver : public core::ZSlabDriver<GridField<S, T>> {
  public:
   // Decomposes an nx x ny x nz grid into `ranks` Z slabs. Every rank's
   // owned slab must be at least as deep as the halo (R * dim_t planes).
   DistributedStencilDriver(long nx, long ny, long nz, int ranks, int dim_t)
-      : nx_(nx), ny_(ny), nz_(nz), ranks_(ranks), dim_t_(dim_t),
-        halo_(static_cast<long>(R) * dim_t) {
-    S35_CHECK(ranks >= 1 && dim_t >= 1);
-    S35_CHECK(partition_fits(ranks));
-    build_partition(ranks);
-  }
-
-  // Scatters a full grid into the local (extended) subdomains.
-  void scatter(const grid::Grid3<T>& global) {
-    for (int r = 0; r < ranks_; ++r) {
-      grid::Grid3<T>& g = locals_[static_cast<std::size_t>(r)].src();
-      for (long z = extended_[static_cast<std::size_t>(r)].begin;
-           z < extended_[static_cast<std::size_t>(r)].end; ++z)
-        for (long y = 0; y < ny_; ++y)
-          std::memcpy(g.row(y, z - extended_[static_cast<std::size_t>(r)].begin),
-                      global.row(y, z), static_cast<std::size_t>(nx_) * sizeof(T));
-    }
-  }
-
-  // Gathers the owned slabs back into a full grid.
-  void gather(grid::Grid3<T>& global) const {
-    for (int r = 0; r < ranks_; ++r) {
-      const grid::Grid3<T>& g = locals_[static_cast<std::size_t>(r)].src();
-      for (long z = owned_[static_cast<std::size_t>(r)].begin;
-           z < owned_[static_cast<std::size_t>(r)].end; ++z)
-        for (long y = 0; y < ny_; ++y)
-          std::memcpy(global.row(y, z),
-                      g.row(y, z - extended_[static_cast<std::size_t>(r)].begin),
-                      static_cast<std::size_t>(nx_) * sizeof(T));
-    }
-  }
-
-  // ---- fault tolerance configuration (all optional) ----
-
-  // Attaches the fault plan consulted on every pass/message. The driver
-  // does not own the plan; pass nullptr to detach.
-  void set_fault_plan(fault::FaultPlan* plan) { plan_ = plan; }
-  void set_retry_policy(const fault::RetryPolicy& p) { retry_ = p; }
-  // Routes checkpoint I/O through `io` (e.g. a FaultyIoBackend).
-  void set_io_backend(fault::IoBackend* io) { io_ = io; }
-
-  // Arms the online-integrity layer (src/integrity) for every per-rank
-  // pass: sentinels/guards/audits feed `monitor`, and a poisoned pass
-  // climbs the recovery ladder — in-memory re-execution first, checkpoint
-  // restore when re-execution does not converge. The monitor (and optional
-  // watchdog) are borrowed, not owned.
-  void set_integrity(const integrity::IntegrityOptions& opts,
-                     integrity::IntegrityMonitor* monitor,
-                     integrity::Watchdog* watchdog = nullptr) {
-    ictx_.options = opts;
-    ictx_.monitor = monitor;
-    ictx_.watchdog = watchdog;
-  }
-
-  // Writes a durable checkpoint to `path` every `every_passes` blocked
-  // passes (plus one at run start so rank-failure recovery always has a
-  // restore point). The file is also the restore source for recovery.
-  void enable_checkpointing(const std::string& path, int every_passes) {
-    S35_CHECK(every_passes >= 1);
-    ckpt_path_ = path;
-    checkpoint_every_ = every_passes;
-  }
-
-  // Restores grid state and the completed-step count from a checkpoint
-  // written by a previous (interrupted) run. A nonzero `max_steps` bounds
-  // the plausible completed-step tag: a checkpoint claiming more finished
-  // steps than the run ever schedules is rejected as kMismatch instead of
-  // silently fast-forwarding past the end of the run.
-  fault::Status resume_from(const std::string& path, std::uint64_t max_steps = 0) {
-    grid::Grid3<T> g(nx_, ny_, nz_);
-    std::uint64_t tag = 0;
-    if (fault::Status st = grid::load_checkpoint_ex(path, g, &tag, io_); !st.ok())
-      return st;
-    if (max_steps > 0 && tag > max_steps)
-      return {fault::ErrorCode::kMismatch,
-              "checkpoint claims " + std::to_string(tag) +
-                  " completed steps, run schedules only " +
-                  std::to_string(max_steps)};
-    scatter(g);
-    steps_done_ = tag;
-    last_good_ = path;
-    return {};
-  }
-
-  // Advances `steps` time steps: halo exchange, one blocked pass per rank,
-  // repeat. `cfg.dim_x/dim_y` select the per-rank tiling; dim_t is fixed
-  // by the constructor (it sizes the halos). Recoverable faults (torn
-  // exchanges within the retry budget, rank failure with a checkpoint
-  // available) are absorbed; anything else comes back as an error.
-  fault::Status run_guarded(const S& stencil, int steps, const SweepConfig& cfg,
-                            core::Engine35& engine) {
-    const std::uint64_t target = steps_done_ + static_cast<std::uint64_t>(steps);
-    if (checkpoint_every_ > 0 && last_good_.empty())
-      (void)write_checkpoint();  // failure tolerated: counted, run continues
-    while (steps_done_ < target) {
-      if (plan_ != nullptr) {
-        int dead = -1;
-        for (int r = 0; r < ranks_; ++r)
-          if (plan_->rank_fails(r, pass_index_)) dead = r;
-        if (dead >= 0) {
-          if (fault::Status st = recover_from_rank_failure(dead); !st.ok()) return st;
-          continue;
-        }
-      }
-      const std::uint64_t left = target - steps_done_;
-      const int dt = left < static_cast<std::uint64_t>(dim_t_)
-                         ? static_cast<int>(left)
-                         : dim_t_;
-      if (fault::Status st = exchange_halos(); !st.ok()) {
-        // A transfer that stayed torn past the retry budget is a permanent
-        // comm fault: fall back to the last good checkpoint if there is
-        // one (same ranks — the hardware survived, the exchange didn't).
-        if (st.code() != fault::ErrorCode::kRetriesExhausted || last_good_.empty())
-          return st;
-        if (fault::Status rst = restore(); !rst.ok()) return rst;
-        continue;
-      }
-      bool escalate = false;
-      for (int r = 0; r < ranks_ && !escalate; ++r) {
-        auto& pair = locals_[static_cast<std::size_t>(r)];
-        if (fault::Status st = run_rank_pass(stencil, pair, dt, cfg, engine);
-            !st.ok()) {
-          if (st.code() != fault::ErrorCode::kSdcDetected) return st;
-          // Re-execution did not converge: climb to the checkpoint rung.
-          if (last_good_.empty()) return st;
-          escalate = true;
-        } else {
-          pair.swap();
-        }
-      }
-      if (escalate) {
-        ++pass_index_;  // the replayed pass gets a fresh fault-plan ordinal
-        ++stats_.sdc_restores;
-        if (ictx_.monitor != nullptr) {
-          ictx_.monitor->clear_poison();
-          ictx_.monitor->note_checkpoint_restore();
-        }
-        if (fault::Status rst = restore(); !rst.ok()) return rst;
-        continue;
-      }
-      stats_.passes += 1;
-      stats_.time_steps += static_cast<std::uint64_t>(dt);
-      steps_done_ += static_cast<std::uint64_t>(dt);
-      ++pass_index_;
-      if (checkpoint_every_ > 0 && pass_index_ % checkpoint_every_ == 0)
-        (void)write_checkpoint();  // failure tolerated: counted, run continues
-    }
-    return {};
-  }
-
-  // Legacy entry point: recoverable faults are still absorbed, anything
-  // unrecoverable is fatal (matching the library's hard-invariant policy).
-  void run(const S& stencil, int steps, const SweepConfig& cfg, core::Engine35& engine) {
-    const fault::Status st = run_guarded(stencil, steps, cfg, engine);
-    S35_CHECK_MSG(st.ok(), st.to_string().c_str());
-  }
-
-  const CommStats& stats() const { return stats_; }
-  int ranks() const { return ranks_; }  // shrinks in degraded mode
-  long halo_planes() const { return halo_; }
-  std::uint64_t steps_done() const { return steps_done_; }
-
- private:
-  struct Extent {
-    long begin, end;
-  };
-
-  bool partition_fits(int ranks) const {
-    for (int r = 0; r < ranks; ++r) {
-      const auto [b, e] = parallel::chunk_range(nz_, ranks, r);
-      S35_CHECK_MSG(e - b >= halo_ || ranks == 1,
-                    "subdomain shallower than the R*dim_t halo");
-    }
-    return true;
-  }
-
-  // True when every slab of a `ranks`-way split stays at least halo deep.
-  bool partition_viable(int ranks) const {
-    if (ranks == 1) return true;
-    for (int r = 0; r < ranks; ++r) {
-      const auto [b, e] = parallel::chunk_range(nz_, ranks, r);
-      if (e - b < halo_) return false;
-    }
-    return true;
-  }
-
-  void build_partition(int ranks) {
-    locals_.clear();
-    owned_.clear();
-    extended_.clear();
-    long z0 = 0;
-    for (int r = 0; r < ranks; ++r) {
-      const auto [b, e] = parallel::chunk_range(nz_, ranks, r);
-      const long lo = (r == 0) ? b : b - halo_;
-      const long hi = (r == ranks - 1) ? e : e + halo_;
-      locals_.emplace_back(nx_, ny_, hi - lo);
-      owned_.push_back({b, e});
-      extended_.push_back({lo, hi});
-      z0 = e;
-    }
-    S35_CHECK(z0 == nz_);
-    ranks_ = ranks;
-  }
-
-  std::uint32_t halo_crc(const grid::Grid3<T>& g, long z_begin, long z_end,
-                         long local_lo) const {
-    const std::size_t row_bytes = static_cast<std::size_t>(nx_) * sizeof(T);
-    std::uint32_t crc = 0;
-    for (long z = z_begin; z < z_end; ++z)
-      for (long y = 0; y < ny_; ++y)
-        crc = crc32c(g.row(y, z - local_lo), row_bytes, crc);
-    return crc;
-  }
-
-  // Copies the halo slabs from each neighbor's owned region into this
-  // rank's extended grid (both directions for every interior face). With a
-  // fault plan attached each message is a verified transfer: retried with
-  // backoff while the destination CRC disagrees with the source.
-  fault::Status exchange_halos() {
-    const std::size_t row_bytes = static_cast<std::size_t>(nx_) * sizeof(T);
-    for (int r = 0; r + 1 < ranks_; ++r) {
-      auto& left = locals_[static_cast<std::size_t>(r)];
-      auto& right = locals_[static_cast<std::size_t>(r + 1)];
-      const long le = extended_[static_cast<std::size_t>(r)].begin;
-      const long re = extended_[static_cast<std::size_t>(r + 1)].begin;
-      const long face = owned_[static_cast<std::size_t>(r)].end;  // global z of the cut
-
-      // dir 0: right rank's lower halo [face - halo, face) from the left
-      // rank; dir 1: left rank's upper halo [face, face + halo) from the
-      // right rank.
-      for (int dir = 0; dir < 2; ++dir) {
-        grid::Grid3<T>& src = dir == 0 ? left.src() : right.src();
-        grid::Grid3<T>& dst = dir == 0 ? right.src() : left.src();
-        const long src_lo = dir == 0 ? le : re;
-        const long dst_lo = dir == 0 ? re : le;
-        const long z0 = dir == 0 ? face - halo_ : face;
-        const long z1 = dir == 0 ? face : face + halo_;
-        const auto copy_once = [&] {
-          for (long z = z0; z < z1; ++z)
-            for (long y = 0; y < ny_; ++y)
-              std::memcpy(dst.row(y, z - dst_lo), src.row(y, z - src_lo), row_bytes);
-        };
-        if (plan_ == nullptr) {
-          copy_once();
-        } else {
-          const std::uint64_t msg = 2ull * static_cast<std::uint64_t>(r) +
-                                    static_cast<std::uint64_t>(dir);
-          const std::uint32_t want = halo_crc(src, z0, z1, src_lo);
-          int attempts = 0;
-          const std::int64_t t0 = telemetry::detail::now_ns();
-          // Salted with (pass, message) so concurrent ranks' retry delays
-          // decorrelate instead of hammering the fabric in lockstep.
-          const std::uint64_t salt = (pass_index_ << 16) ^ msg;
-          fault::Status st = fault::retry_with_backoff(retry_, salt, [&](int attempt) {
-            attempts = attempt + 1;
-            copy_once();
-            switch (plan_->halo_fault(pass_index_, msg, attempt)) {
-              case fault::HaloFault::kCorrupt:
-                // Torn payload: flip one bit of the delivered slab.
-                reinterpret_cast<unsigned char*>(dst.row(0, z0 - dst_lo))[0] ^= 0x01;
-                break;
-              case fault::HaloFault::kDrop:
-                std::memset(dst.row(0, z0 - dst_lo), 0, row_bytes);  // lost payload
-                break;
-              case fault::HaloFault::kNone:
-                break;
-            }
-            if (halo_crc(dst, z0, z1, dst_lo) != want) {
-              ++stats_.halo_faults;
-              return fault::Status(fault::ErrorCode::kTransient,
-                                   "halo message checksum mismatch");
-            }
-            return fault::Status();
-          });
-          if (attempts > 1) {
-            stats_.halo_retries += static_cast<std::uint64_t>(attempts - 1);
-            telemetry::record_ns(0, telemetry::Phase::kRecovery,
-                                 telemetry::detail::now_ns() - t0);
-          }
-          if (!st.ok()) return st;
-        }
-        stats_.messages += 1;
-        stats_.bytes += static_cast<std::uint64_t>(halo_) * ny_ * row_bytes;
-      }
-    }
-    return {};
-  }
-
-  // One blocked pass over a single rank's extended grid, with the
-  // in-memory re-execution rung when integrity is armed: the rank's source
-  // grid is read-only during the pass, so replaying it from the same
-  // inputs is bit-exact with a fault-free execution. Returns kSdcDetected
-  // when the monitor still reports poison after max_reexec replays.
-  fault::Status run_rank_pass(const S& stencil, grid::GridPair<T>& pair, int dt,
-                              const SweepConfig& cfg, core::Engine35& engine) {
-    integrity::IntegrityContext ictx = ictx_;
-    ictx.plan = plan_;
-    ictx.pass = pass_index_;
-    const long dx = cfg.dim_x > 0 ? cfg.dim_x : nx_;
-    const long dy = cfg.dim_y > 0 ? cfg.dim_y : ny_;
-    const bool armed = ictx.active();
-    for (int attempt = 0;; ++attempt) {
-      if (attempt == 0) {
-        run_engine_pass<S, T, simd::DefaultTag>(stencil, pair.src(), pair.dst(), dx,
-                                                dy, dt, cfg.serialized,
-                                                cfg.streaming_stores, engine, {},
-                                                ictx);
-      } else {
-        const telemetry::ScopedPhase phase(0, telemetry::Phase::kRecovery);
-        run_engine_pass<S, T, simd::DefaultTag>(stencil, pair.src(), pair.dst(), dx,
-                                                dy, dt, cfg.serialized,
-                                                cfg.streaming_stores, engine, {},
-                                                ictx);
-      }
-      if (!armed || !ictx_.monitor->poisoned()) return {};
-      ++stats_.sdc_detected;
-      if (attempt >= ictx.options.max_reexec)
-        return {fault::ErrorCode::kSdcDetected,
-                "SDC persisted after " + std::to_string(ictx.options.max_reexec) +
-                    " in-memory re-executions of pass " +
-                    std::to_string(pass_index_)};
-      ictx_.monitor->clear_poison();
-      ictx_.monitor->note_reexec();
-      ++stats_.sdc_reexecs;
-    }
-  }
-
-  fault::Status write_checkpoint() {
-    grid::Grid3<T> g(nx_, ny_, nz_);
-    gather(g);
-    const fault::Status st = grid::save_checkpoint_ex(ckpt_path_, g, steps_done_, io_);
-    if (st.ok()) {
-      ++stats_.checkpoints_written;
-      last_good_ = ckpt_path_;
-    } else {
-      ++stats_.checkpoint_failures;
-    }
-    return st;
-  }
-
-  fault::Status restore() {
-    const telemetry::ScopedPhase phase(0, telemetry::Phase::kRecovery);
-    grid::Grid3<T> g(nx_, ny_, nz_);
-    std::uint64_t tag = 0;
-    if (fault::Status st = grid::load_checkpoint_ex(last_good_, g, &tag, io_);
-        !st.ok())
-      return st;
-    scatter(g);
-    steps_done_ = tag;
-    ++stats_.restores;
-    return {};
-  }
-
-  // Permanent rank failure: shrink the partition to the surviving rank
-  // count (the dead rank's slab is spread across survivors), then restore
-  // from the last good checkpoint and replay. Surfaces kUnavailable when
-  // checkpointing was never enabled/succeeded and kAllocFailure when the
-  // plan refuses the repartition allocations.
-  fault::Status recover_from_rank_failure(int dead_rank) {
-    const telemetry::ScopedPhase phase(0, telemetry::Phase::kRecovery);
-    ++stats_.rank_failures;
-    if (last_good_.empty())
-      return {fault::ErrorCode::kUnavailable,
-              "rank " + std::to_string(dead_rank) +
-                  " failed with no checkpoint to restore from"};
-    int survivors = ranks_ > 1 ? ranks_ - 1 : 1;
-    while (survivors > 1 && !partition_viable(survivors)) --survivors;
-    if (plan_ != nullptr && plan_->alloc_fails(pass_index_))
-      return {fault::ErrorCode::kAllocFailure,
-              "allocation refused while repartitioning to " +
-                  std::to_string(survivors) + " ranks"};
-    build_partition(survivors);
-    return restore();
-  }
-
-  long nx_, ny_, nz_;
-  int ranks_;
-  int dim_t_;
-  long halo_;
-  std::vector<grid::GridPair<T>> locals_;
-  std::vector<Extent> owned_;
-  std::vector<Extent> extended_;
-  CommStats stats_;
-
-  fault::FaultPlan* plan_ = nullptr;
-  fault::IoBackend* io_ = nullptr;
-  fault::RetryPolicy retry_;
-  integrity::IntegrityContext ictx_;  // plan/pass filled per rank pass
-  std::string ckpt_path_;
-  std::string last_good_;  // most recent restore source (may equal ckpt_path_)
-  int checkpoint_every_ = 0;
-  std::uint64_t pass_index_ = 0;  // monotonic blocked-pass counter
-  std::uint64_t steps_done_ = 0;  // completed time steps (rewinds on restore)
+      : core::ZSlabDriver<GridField<S, T>>({}, nx, ny, nz, ranks, dim_t) {}
 };
 
 }  // namespace s35::stencil

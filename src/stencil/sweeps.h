@@ -17,10 +17,14 @@
 // After run_sweep returns, the result is in pair.src().
 #pragma once
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 
+#include "core/block_4d.h"
 #include "core/engine.h"
 #include "core/kernel_options.h"
+#include "core/pass_loop.h"
 #include "core/planner.h"
 #include "fault/status.h"
 #include "grid/grid3.h"
@@ -237,29 +241,44 @@ void sweep_step_3d(const S& stencil, const grid::Grid3<T>& src, grid::Grid3<T>& 
 
 // --------------------------------------------------------- Engine35-based
 
-// One pass of `dim_t` time steps using the 3.5D engine; tiling chooses the
-// spatial flavor (planner tiles = 3.5D / 2.5D, whole-plane tile = temporal
-// only).
+// Runs `steps` time steps of engine passes shaped by `shape` through the
+// shared pass loop (core/pass_loop.h) with a StencilSlabKernel; `reexecute`
+// arms the in-memory re-execution rung.
 template <typename S, typename T, typename Tag>
-void run_engine_pass(const S& stencil, const grid::Grid3<T>& src, grid::Grid3<T>& dst,
-                     long dim_x, long dim_y, int dim_t, bool serialized,
-                     bool streaming_stores, core::Engine35& engine,
-                     const core::KernelOptions& opts = {},
-                     const integrity::IntegrityContext& ictx = {},
-                     core::ScheduleFamily family = core::ScheduleFamily::kPaper35D,
-                     long diamond_width = 0) {
-  const core::Tiling tiling(src.nx(), src.ny(), dim_x, dim_y, S::radius, dim_t);
-  const core::TemporalSchedule sched(src.nz(), S::radius, dim_t, serialized, family,
-                                     diamond_width);
-  StencilSlabKernel<S, T, Tag> kernel(stencil, src, dst, dim_x, dim_y, dim_t,
-                                      sched.planes_per_instance(), streaming_stores,
-                                      opts, ictx);
-  kernel.set_paired_rows(family == core::ScheduleFamily::kDeep35D);
-  engine.run_pass(kernel, tiling, sched);
+fault::Status run_engine_steps(const S& stencil, grid::GridPair<T>& pair, int steps,
+                               const core::PassShape& shape, const SweepConfig& cfg,
+                               const integrity::IntegrityContext& ictx, bool reexecute,
+                               core::Engine35& engine,
+                               core::ReexecTally* tally = nullptr) {
+  return core::run_passes(
+      pair, steps, shape, ictx, reexecute, engine,
+      [&](const grid::Grid3<T>& src, grid::Grid3<T>& dst, int dim_t, int planes,
+          const integrity::IntegrityContext& kctx) {
+        return StencilSlabKernel<S, T, Tag>(stencil, src, dst, shape.dim_x, shape.dim_y,
+                                            dim_t, planes, cfg.streaming_stores,
+                                            cfg.kernel, kctx);
+      },
+      tally);
 }
 
-// -------------------------------------------------------------- 4D blocks
-// Declared here, implemented in sweep_4d.h (included below).
+// Pass shape of an Engine35-based variant; tiling chooses the spatial
+// flavor (planner tiles = 3.5D / 2.5D, whole-plane tile = temporal only).
+template <typename S, typename T>
+core::PassShape engine_shape(Variant variant, const SweepConfig& cfg,
+                             const grid::Grid3<T>& g) {
+  core::PassShape shape = core::config_shape(cfg, S::radius);
+  if (variant == Variant::kSpatial25D) {
+    if (shape.dim_x <= 0) shape.dim_x = g.nx();
+    shape.dim_t = 1;
+  } else if (variant == Variant::kTemporalOnly) {
+    shape.dim_x = g.nx();  // single tile: no spatial blocking
+    shape.dim_y = g.ny();
+  } else {
+    S35_CHECK_MSG(cfg.dim_x > 0, "kBlocked35D needs dim_x");
+  }
+  if (shape.dim_y <= 0) shape.dim_y = shape.dim_x;
+  return shape;
+}
 
 // ------------------------------------------------------------- top level
 
@@ -267,7 +286,77 @@ void run_engine_pass(const S& stencil, const grid::Grid3<T>& src, grid::Grid3<T>
 // in pair.src(). All variants agree bit-for-bit.
 template <typename S, typename T, typename Tag = simd::DefaultTag>
 void run_sweep(Variant variant, const S& stencil, grid::GridPair<T>& pair, int steps,
-               const SweepConfig& cfg, core::Engine35& engine);
+               const SweepConfig& cfg, core::Engine35& engine) {
+  using V = simd::Vec<T, Tag>;
+  constexpr long R = S::radius;
+  const grid::Grid3<T>& g = pair.src();
+  const long nx = g.nx(), ny = g.ny(), nz = g.nz();
+  S35_CHECK(steps >= 0);
+
+  switch (variant) {
+    case Variant::kNaive:
+    case Variant::kSpatial3D: {
+      // One grid sweep per time step; interior writes only, so the frozen
+      // shell must be present in both grids up front.
+      {
+        const telemetry::ScopedPhase phase(0, telemetry::Phase::kGhostFill);
+        freeze_boundary(pair.src(), pair.dst(), R);
+      }
+      const long bx = cfg.dim_x > 0 ? cfg.dim_x : nx;
+      const long by = cfg.dim_y > 0 ? cfg.dim_y : bx;
+      const long bz = cfg.dim_z > 0 ? cfg.dim_z : bx;
+      for (int s = 0; s < steps; ++s) {
+        if (variant == Variant::kNaive) {
+          sweep_step_naive<S, T, Tag>(stencil, pair.src(), pair.dst(), engine.team(),
+                                      cfg.kernel);
+        } else {
+          sweep_step_3d<S, T, Tag>(stencil, pair.src(), pair.dst(), bx, by, bz,
+                                   engine.team(), cfg.kernel);
+        }
+        pair.swap();
+      }
+      return;
+    }
+
+    case Variant::kSpatial25D:
+    case Variant::kTemporalOnly:
+    case Variant::kBlocked35D:
+      (void)run_engine_steps<S, T, Tag>(stencil, pair, steps,
+                                        engine_shape<S>(variant, cfg, g), cfg,
+                                        cfg.integrity, /*reexecute=*/false, engine);
+      return;
+
+    case Variant::kBlocked4D: {
+      S35_CHECK_MSG(cfg.dim_x > 0, "kBlocked4D needs dim_x");
+      const long bx = cfg.dim_x;
+      const long by = cfg.dim_y > 0 ? cfg.dim_y : bx;
+      const long bz = cfg.dim_z > 0 ? cfg.dim_z : bx;
+      // Row body: shell rows and shell columns stay frozen, the interior
+      // span gets the stencil.
+      core::run_4d_blocks<T>(
+          pair, steps, R, bx, by, bz, cfg.dim_t, engine.team(),
+          [&](const auto& in, const auto& out, long y, long z, core::Extent vx) {
+            const T* frozen = in(0, 0, 0);
+            T* dst = out(0);
+            if (z < R || z >= nz - R || y < R || y >= ny - R) {
+              std::memcpy(dst + vx.begin, frozen + vx.begin,
+                          static_cast<std::size_t>(vx.size()) * sizeof(T));
+              return;
+            }
+            const long xa = std::max(vx.begin, R);
+            const long xb = std::min(vx.end, nx - R);
+            for (long x = vx.begin; x < xa; ++x) dst[x] = frozen[x];
+            for (long x = xb; x < vx.end; ++x) dst[x] = frozen[x];
+            if (xa < xb) {
+              const auto acc = [&](int dz, int dy) { return in(0, dy, dz); };
+              update_row<V>(for_row(stencil, y, z), acc, dst, xa, xb);
+            }
+          });
+      return;
+    }
+  }
+  S35_CHECK_MSG(false, "unknown Variant");
+}
 
 // Like run_sweep, but selects the vector backend at run time from
 // cfg.kernel.isa (clamped to what this build and CPU support — see
@@ -280,18 +369,24 @@ void run_sweep_auto(Variant variant, const S& stencil, grid::GridPair<T>& pair,
   });
 }
 
-// Integrity-verified sweep: like run_sweep, but runs pass by pass and, when
-// the monitor reports a data-corrupting detection, re-executes the poisoned
-// pass in memory from the still-intact Jacobi source grid (dst and every
-// ring plane are fully rewritten, so the replay is bit-exact). After
+// Integrity-verified sweep: like run_sweep, but when the monitor reports a
+// data-corrupting detection the poisoned pass is re-executed in memory from
+// the still-intact Jacobi source grid (core/pass_loop.h). After
 // cfg.integrity.options.max_reexec failed re-executions the pass is given
 // up with kSdcDetected — the caller's cue to climb to the checkpoint rung
-// (see stencil/distributed.h). Engine35-based variants only (kSpatial25D,
+// (see core/distributed.h). Engine35-based variants only (kSpatial25D,
 // kTemporalOnly, kBlocked35D). Result in pair.src() on ok.
 template <typename S, typename T, typename Tag = simd::DefaultTag>
 fault::Status run_sweep_verified(Variant variant, const S& stencil,
                                  grid::GridPair<T>& pair, int steps,
-                                 const SweepConfig& cfg, core::Engine35& engine);
+                                 const SweepConfig& cfg, core::Engine35& engine) {
+  S35_CHECK_MSG(variant == Variant::kSpatial25D || variant == Variant::kTemporalOnly ||
+                    variant == Variant::kBlocked35D,
+                "run_sweep_verified needs an Engine35 variant");
+  return run_engine_steps<S, T, Tag>(stencil, pair, steps,
+                                     engine_shape<S>(variant, cfg, pair.src()), cfg,
+                                     cfg.integrity, /*reexecute=*/true, engine);
+}
 
 template <typename S, typename T>
 fault::Status run_sweep_verified_auto(Variant variant, const S& stencil,
@@ -306,6 +401,3 @@ fault::Status run_sweep_verified_auto(Variant variant, const S& stencil,
 }
 
 }  // namespace s35::stencil
-
-#include "stencil/sweep_4d.h"
-#include "stencil/sweeps_impl.h"

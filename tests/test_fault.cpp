@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/crc32c.h"
+#include "common/rng.h"
 #include "fault/fault_plan.h"
 #include "fault/io_backend.h"
 #include "fault/retry.h"
@@ -746,6 +747,257 @@ TEST(DistributedRecovery, ResumeRejectsImplausibleStepTag) {
   EXPECT_TRUE(driver.resume_from(path).ok());
   EXPECT_EQ(driver.steps_done(), 100u);
   std::remove(path.c_str());
+}
+
+// ------------------------- driver contracts, typed over both field types
+
+// One field type per instantiation: every recovery contract of the
+// distributed driver must hold for stencil grids and LBM lattices alike.
+struct GridCase {
+  static constexpr const char* kName = "grid";
+  using Driver = StencilDriver;
+  using Array = grid::Grid3<float>;
+  static Driver make(long n, int ranks, int dim_t) {
+    return Driver(n, n, n, ranks, dim_t);
+  }
+  static Array initial(long n) {
+    Array g(n, n, n);
+    g.fill_random(777, -1.0f, 1.0f);
+    return g;
+  }
+  static stencil::Stencil7<float> physics() { return stencil::default_stencil7<float>(); }
+  static stencil::SweepConfig config(int dim_t) {
+    stencil::SweepConfig cfg;
+    cfg.dim_t = dim_t;
+    cfg.dim_x = 14;
+    return cfg;
+  }
+  static long mismatches(const Array& a, const Array& b) {
+    return grid::count_mismatches(a, b);
+  }
+  static fault::Status save(const std::string& path, const Array& a, std::uint64_t tag) {
+    return grid::save_checkpoint_ex(path, a, tag);
+  }
+};
+
+struct LatticeCase {
+  static constexpr const char* kName = "lattice";
+  using Driver = lbm::DistributedLbmDriver<float>;
+  using Array = lbm::Lattice<float>;
+  static Driver make(long n, int ranks, int dim_t) {
+    lbm::Geometry geom(n, n, n);
+    geom.set_box_walls();
+    geom.set_lid();
+    geom.finalize();
+    return Driver(geom, ranks, dim_t);
+  }
+  // Equilibrium with a deterministic per-value perturbation, so a wrong
+  // halo plane anywhere shows up in the result.
+  static Array initial(long n) {
+    Array lat(n, n, n);
+    lat.init_equilibrium();
+    SplitMix64 rng(777);
+    for (int i = 0; i < lbm::kQ; ++i)
+      for (long z = 0; z < n; ++z)
+        for (long y = 0; y < n; ++y)
+          for (long x = 0; x < n; ++x)
+            lat.at(i, x, y, z) *= 1.0f + 0.05f * static_cast<float>(rng.next_double());
+    return lat;
+  }
+  static lbm::BgkParams<float> physics() {
+    lbm::BgkParams<float> prm;
+    prm.omega = 1.2f;
+    prm.u_wall[0] = 0.05f;
+    return prm;
+  }
+  static lbm::SweepConfig config(int dim_t) {
+    lbm::SweepConfig cfg;
+    cfg.dim_t = dim_t;
+    cfg.dim_x = 14;
+    return cfg;
+  }
+  static long mismatches(const Array& a, const Array& b) {
+    long bad = 0;
+    for (int i = 0; i < lbm::kQ; ++i)
+      for (long z = 0; z < a.nz(); ++z)
+        for (long y = 0; y < a.ny(); ++y)
+          if (std::memcmp(a.row(i, y, z), b.row(i, y, z),
+                          static_cast<std::size_t>(a.nx()) * sizeof(float)) != 0)
+            ++bad;
+    return bad;
+  }
+  static fault::Status save(const std::string& path, const Array& a, std::uint64_t tag) {
+    return grid::save_checkpoint_arrays_ex(path, a, lbm::kQ, tag);
+  }
+};
+
+template <typename Case>
+class DriverContract : public ::testing::Test {
+ protected:
+  using Array = typename Case::Array;
+  static constexpr long kN = 24;
+
+  // Fault-free run of `steps` from the common initial state.
+  static Array reference(int ranks, int dim_t, int steps) {
+    core::Engine35 engine(2);
+    auto driver = Case::make(kN, ranks, dim_t);
+    driver.scatter(Case::initial(kN));
+    driver.run(Case::physics(), steps, Case::config(dim_t), engine);
+    Array out(kN, kN, kN);
+    driver.gather(out);
+    return out;
+  }
+
+  static fault::Status run(typename Case::Driver& driver, int steps, int dim_t,
+                           core::Engine35& engine) {
+    return driver.run_guarded(Case::physics(), steps, Case::config(dim_t), engine);
+  }
+
+  static long diff_against(const typename Case::Driver& driver, const Array& want) {
+    Array got(kN, kN, kN);
+    driver.gather(got);
+    return Case::mismatches(want, got);
+  }
+
+  static std::string path(const char* stem) {
+    return tmp_path((std::string(Case::kName) + "_" + stem).c_str());
+  }
+};
+
+using FieldCases = ::testing::Types<GridCase, LatticeCase>;
+TYPED_TEST_SUITE(DriverContract, FieldCases);
+
+TYPED_TEST(DriverContract, TransientHaloFaultsAbsorbedBitExact) {
+  const int ranks = 2, dim_t = 2, steps = 6;
+  const auto want = TestFixture::reference(ranks, dim_t, steps);
+  for (const bool drop : {false, true}) {
+    core::Engine35 engine(2);
+    auto driver = TypeParam::make(TestFixture::kN, ranks, dim_t);
+    fault::FaultPlan plan(2024);
+    (drop ? plan.halo_drop_prob : plan.halo_corrupt_prob) = 1.0;
+    plan.transient_attempts = 1;
+    driver.set_fault_plan(&plan);
+    driver.set_retry_policy(fast_retry(3));
+    driver.scatter(TypeParam::initial(TestFixture::kN));
+    const fault::Status st = TestFixture::run(driver, steps, dim_t, engine);
+    ASSERT_TRUE(st.ok()) << st.to_string();
+    EXPECT_EQ(TestFixture::diff_against(driver, want), 0) << "drop=" << drop;
+    EXPECT_GT(driver.stats().halo_faults, 0u);
+    EXPECT_EQ(driver.stats().halo_retries, driver.stats().halo_faults);
+  }
+}
+
+TYPED_TEST(DriverContract, RetriesExhaustedSurfacesWithoutCheckpoint) {
+  core::Engine35 engine(2);
+  auto driver = TypeParam::make(TestFixture::kN, 2, 2);
+  fault::FaultPlan plan(3);
+  plan.halo_corrupt_prob = 1.0;
+  plan.transient_attempts = 100;
+  driver.set_fault_plan(&plan);
+  driver.set_retry_policy(fast_retry(2));
+  driver.scatter(TypeParam::initial(TestFixture::kN));
+  EXPECT_EQ(TestFixture::run(driver, 2, 2, engine).code(),
+            fault::ErrorCode::kRetriesExhausted);
+}
+
+TYPED_TEST(DriverContract, RankFailureRecoversFromCheckpointBitExact) {
+  const int ranks = 3, dim_t = 2, steps = 6;
+  const auto want = TestFixture::reference(ranks, dim_t, steps);
+  const std::string ckpt = TestFixture::path("contract_rankfail.ckpt");
+  core::Engine35 engine(2);
+  auto driver = TypeParam::make(TestFixture::kN, ranks, dim_t);
+  fault::FaultPlan plan(5);
+  plan.fail_rank = 1;
+  plan.fail_at_pass = 1;
+  driver.set_fault_plan(&plan);
+  driver.enable_checkpointing(ckpt, 1);
+  driver.scatter(TypeParam::initial(TestFixture::kN));
+  const fault::Status st = TestFixture::run(driver, steps, dim_t, engine);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  EXPECT_EQ(TestFixture::diff_against(driver, want), 0);
+  EXPECT_EQ(driver.stats().rank_failures, 1u);
+  EXPECT_GE(driver.stats().restores, 1u);
+  EXPECT_LT(driver.ranks(), ranks);
+  EXPECT_EQ(driver.steps_done(), static_cast<std::uint64_t>(steps));
+  std::remove(ckpt.c_str());
+}
+
+TYPED_TEST(DriverContract, RankFailureWithoutCheckpointIsUnavailable) {
+  core::Engine35 engine(2);
+  auto driver = TypeParam::make(TestFixture::kN, 2, 2);
+  fault::FaultPlan plan(6);
+  plan.fail_rank = 0;
+  plan.fail_at_pass = 0;
+  driver.set_fault_plan(&plan);
+  driver.scatter(TypeParam::initial(TestFixture::kN));
+  EXPECT_EQ(TestFixture::run(driver, 4, 2, engine).code(),
+            fault::ErrorCode::kUnavailable);
+}
+
+TYPED_TEST(DriverContract, RefusedRepartitionAllocationSurfacesNotAborts) {
+  const std::string ckpt = TestFixture::path("contract_alloc.ckpt");
+  core::Engine35 engine(2);
+  auto driver = TypeParam::make(TestFixture::kN, 2, 2);
+  fault::FaultPlan plan(7);
+  plan.fail_rank = 1;
+  plan.fail_at_pass = 1;
+  plan.alloc_fail_prob = 1.0;
+  driver.set_fault_plan(&plan);
+  driver.enable_checkpointing(ckpt, 1);
+  driver.scatter(TypeParam::initial(TestFixture::kN));
+  EXPECT_EQ(TestFixture::run(driver, 4, 2, engine).code(),
+            fault::ErrorCode::kAllocFailure);
+  std::remove(ckpt.c_str());
+}
+
+TYPED_TEST(DriverContract, CrashAndResumeBitExact) {
+  const int ranks = 2, dim_t = 2, steps = 6;
+  const auto want = TestFixture::reference(ranks, dim_t, steps);
+  const std::string ckpt = TestFixture::path("contract_resume.ckpt");
+  core::Engine35 engine(2);
+  {
+    auto first = TypeParam::make(TestFixture::kN, ranks, dim_t);
+    first.enable_checkpointing(ckpt, 1);
+    first.scatter(TypeParam::initial(TestFixture::kN));
+    ASSERT_TRUE(TestFixture::run(first, 4, dim_t, engine).ok());
+  }  // "crash": the driver (and all in-memory state) is gone
+
+  const auto info = grid::probe_checkpoint(ckpt);
+  ASSERT_TRUE(info.ok());
+  const std::uint64_t done = info.value().user_tag;
+  ASSERT_GT(done, 0u);
+  ASSERT_LT(done, static_cast<std::uint64_t>(steps));
+
+  auto second = TypeParam::make(TestFixture::kN, ranks, dim_t);
+  ASSERT_TRUE(second.resume_from(ckpt, steps).ok());
+  EXPECT_EQ(second.steps_done(), done);
+  const int rest = static_cast<int>(steps - done);
+  ASSERT_TRUE(TestFixture::run(second, rest, dim_t, engine).ok());
+  EXPECT_EQ(TestFixture::diff_against(second, want), 0);
+  std::remove(ckpt.c_str());
+}
+
+TYPED_TEST(DriverContract, ResumeRejectsImplausibleStepTag) {
+  const std::string ckpt = TestFixture::path("contract_badtag.ckpt");
+  ASSERT_TRUE(TypeParam::save(ckpt, TypeParam::initial(TestFixture::kN), 100).ok());
+  auto driver = TypeParam::make(TestFixture::kN, 2, 2);
+  const fault::Status st = driver.resume_from(ckpt, /*max_steps=*/6);
+  EXPECT_EQ(st.code(), fault::ErrorCode::kMismatch);
+  EXPECT_NE(st.message().find("100"), std::string::npos);
+  EXPECT_EQ(driver.steps_done(), 0u);
+  std::remove(ckpt.c_str());
+}
+
+// A negative step count is a caller bug: it used to wrap the uint64 step
+// target and spin forever.
+TYPED_TEST(DriverContract, NegativeStepCountDies) {
+  EXPECT_DEATH(
+      {
+        core::Engine35 engine(1);
+        auto driver = TypeParam::make(TestFixture::kN, 2, 2);
+        (void)TestFixture::run(driver, -1, 2, engine);
+      },
+      "steps >= 0");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "lbm/collide.h"
 #include "lbm/lattice.h"
+#include "lbm/sweeps.h"
 
 namespace s35::lbm {
 namespace {
@@ -162,6 +163,25 @@ TEST(Geometry, SolidBoxSplitsSpans) {
 TEST(Geometry, RejectsEdgeFluid) {
   Geometry g(6, 6, 6);  // all fluid, no walls
   EXPECT_DEATH(g.finalize(), "domain edge");
+}
+
+// dim_t = 0 never shrinks the remaining step count, so the 4D loop must
+// refuse it instead of spinning forever.
+TEST(Blocked4D, RejectsZeroDimT) {
+  EXPECT_DEATH(
+      {
+        Geometry geom(16, 16, 16);
+        geom.set_box_walls();
+        geom.finalize();
+        LatticePair<float> pair(16, 16, 16);
+        pair.src().init_equilibrium();
+        SweepConfig cfg;
+        cfg.dim_t = 0;
+        cfg.dim_x = 8;
+        core::Engine35 engine(1);
+        run_lbm(Variant::kBlocked4D, geom, BgkParams<float>{}, pair, 2, cfg, engine);
+      },
+      "dim_t >= 1");
 }
 
 TEST(Lattice, EquilibriumInitMoments) {

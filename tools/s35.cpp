@@ -255,6 +255,10 @@ int cmd_run(const Args& args) {
   const std::string ckpt = args.str("ckpt", "s35_run.ckpt");
   const std::string resume = args.str("resume", "");
   const std::uint64_t seed = static_cast<std::uint64_t>(args.num("seed", 42));
+  if (steps < 1) {
+    std::fprintf(stderr, "--steps must be at least 1 (got %d)\n", steps);
+    return 2;
+  }
 
   // Schedule-family request. Like S35_ISA, the env var can only narrow: an
   // explicit --schedule wins; S35_SCHEDULE applies when the flag is absent
