@@ -5,7 +5,9 @@
 // barrier per round (parallel mode) or per step (serialized mode) — and
 // delegates the actual data movement and arithmetic to a kernel policy.
 //
-// Kernel policy requirements (duck-typed):
+// Kernel policy requirements (duck-typed; core::SlabKernel in
+// core/slab_kernel.h implements them once for every field type, with a
+// per-field compute row — stencil/slab_kernel.h, lbm/slab_kernel.h):
 //
 //   struct MyKernel {
 //     // Execute `step` for row y, columns [x0, x1), all in global grid

@@ -83,6 +83,7 @@ class Grid3 {
   // Component-indexed row access shared with lbm::Lattice, so field-generic
   // code (core/distributed.h, core/block_4d.h) serves both: a grid is a
   // field with one component.
+  using value_type = T;
   static constexpr int components = 1;
   T* row(int /*c*/, long y, long z) { return row(y, z); }
   const T* row(int /*c*/, long y, long z) const { return row(y, z); }

@@ -110,6 +110,7 @@ class Geometry {
 template <typename T>
 class Lattice {
  public:
+  using value_type = T;
   static constexpr int components = kQ;
 
   Lattice(long nx, long ny, long nz)

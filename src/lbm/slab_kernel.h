@@ -1,36 +1,22 @@
-// Engine35 kernel policy for D3Q19 LBM.
-//
-// The blocking buffer holds, per time instance and ring slot, 19 SoA
-// sub-planes of dim_x x dim_y (E = 19 values + the flag; flags are static
-// and read from the shared Geometry, Section VI-B). Instance 0 receives
-// loaded input planes; instance dim_t results stream to the output lattice.
+// Engine35 kernel policy for D3Q19 LBM: the collide-stream row body over
+// the shared slab kernel (core/slab_kernel.h), whose ring holds 19 SoA
+// sub-planes per time instance and ring slot (E = 19 values + the flag;
+// flags are static and read from the shared Geometry, Section VI-B).
 #pragma once
 
-#include <chrono>
-#include <cmath>
-#include <cstring>
-#include <limits>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include "common/aligned_buffer.h"
-#include "common/crc32c.h"
-#include "core/engine.h"
 #include "core/kernel_options.h"
-#include "fault/fault_plan.h"
+#include "core/slab_kernel.h"
 #include "integrity/integrity.h"
-#include "integrity/watchdog.h"
 #include "lbm/collide.h"
 #include "lbm/lattice.h"
-#include "parallel/thread_team.h"
 #include "simd/simd.h"
 
 namespace s35::lbm {
 
 template <typename T, typename Tag = simd::DefaultTag>
-class LbmSlabKernel {
-  using V = simd::Vec<T, Tag>;
+class LbmSlabKernel : public core::SlabKernel<LbmSlabKernel<T, Tag>, Lattice<T>, 1> {
+  using Base = core::SlabKernel<LbmSlabKernel, Lattice<T>, 1>;
+  friend Base;
   static constexpr long R = 1;  // L-inf extent of D3Q19
 
  public:
@@ -39,316 +25,48 @@ class LbmSlabKernel {
                 Lattice<T>& dst, long dim_x, long dim_y, int dim_t,
                 int planes_per_instance, core::KernelOptions opts = {},
                 integrity::IntegrityContext ictx = {})
-      : geom_(&geom),
-        src_(&src),
-        dst_(&dst),
-        allow_fma_(opts.allow_fma),
-        pitch_(grid::padded_pitch(dim_x, sizeof(T))),
-        buf_ny_(dim_y),
-        ring_(planes_per_instance),
-        ictx_(ictx),
-        buffer_(static_cast<std::size_t>(pitch_) * dim_y * ring_ * dim_t * kQ) {
+      : Base(src, dst, dim_x, dim_y, dim_t, planes_per_instance, opts, ictx),
+        geom_(&geom) {
     S35_CHECK(geom.finalized());
     ctx_.omega = prm.omega;
     ctx_.omega_minus =
         prm.trt_magic > T(0) ? trt_omega_minus<T>(prm.omega, prm.trt_magic) : T(0);
     moving_wall_corrections(prm.u_wall, ctx_.mw_corr);
     body_force_terms(prm.force, ctx_.force_corr);
-    if (ictx_.active() && ictx_.options.sentinels)
-      sentinels_.configure(dim_t, planes_per_instance);
-  }
-
-  std::size_t buffer_bytes() const { return buffer_.size() * sizeof(T); }
-
-  // Re-targets the external lattices (after a swap) so one kernel buffer
-  // serves every pass of a multi-pass run.
-  void rebind(const Lattice<T>& src, Lattice<T>& dst) {
-    src_ = &src;
-    dst_ = &dst;
-  }
-
-  void execute(const core::Tile& tile, const core::Step& step, long y, long x0, long x1) {
-    const std::size_t n = static_cast<std::size_t>(x1 - x0) * sizeof(T);
-    switch (step.kind) {
-      case core::StepKind::kLoad:
-        for (int i = 0; i < kQ; ++i) {
-          T* out = buffer_row(tile, 0, step.dst_slot, i, y);
-          std::memcpy(out + x0, src_->row(i, y, step.z) + x0, n);
-          if (guards_on(step)) guard_span(out, x0, x1, step, y, 0, i, "load");
-        }
-        return;
-      case core::StepKind::kCopy:
-        for (int i = 0; i < kQ; ++i) {
-          T* out = step.to_external
-                       ? dst_->row(i, y, step.z)
-                       : buffer_row(tile, step.t, step.dst_slot, i, y);
-          std::memcpy(out + x0, buffer_row(tile, step.t - 1, step.src_slots[0], i, y) + x0,
-                      n);
-          if (guards_on(step) && step.to_external)
-            guard_span(out, x0, x1, step, y, step.t, i, "store");
-        }
-        return;
-      case core::StepKind::kCompute: {
-        const int si = step.t - 1;
-        const auto src_acc = [&](int i, int dy, int dz) -> const T* {
-          return buffer_row(tile, si,
-                            step.src_slots[static_cast<std::size_t>(dz + R)], i, y + dy);
-        };
-        if (step.to_external) {
-          const auto dst_acc = [&](int i) -> T* { return dst_->row(i, y, step.z); };
-          lbm_update_row<T, Tag>(*geom_, ctx_, src_acc, dst_acc, y, step.z, x0, x1,
-                                 allow_fma_);
-          if (ictx_.active()) {
-            if (ictx_.plan) {
-              const long xc = src_->nx() / 2;
-              if (xc >= x0 && xc < x1 &&
-                  ictx_.plan->wrong_row_fires(ictx_.pass, step.z, y))
-                flip_value_bit(&dst_acc(0)[xc], ictx_.plan->flip_bit);
-            }
-            if (integrity::audit_selects(ictx_.options.audit_seed, ictx_.pass, step.t,
-                                         step.z, y, ictx_.options.audit_rate))
-              audit_span(src_acc, dst_acc, step, y, x0, x1);
-          }
-          if (guards_on(step))
-            for (int i = 0; i < kQ; ++i)
-              guard_span(dst_->row(i, y, step.z), x0, x1, step, y, step.t, i, "store");
-        } else {
-          const auto dst_acc = [&](int i) -> T* {
-            return buffer_row(tile, step.t, step.dst_slot, i, y);
-          };
-          lbm_update_row<T, Tag>(*geom_, ctx_, src_acc, dst_acc, y, step.z, x0, x1,
-                                 allow_fma_);
-          if (ictx_.active() &&
-              integrity::audit_selects(ictx_.options.audit_seed, ictx_.pass, step.t,
-                                       step.z, y, ictx_.options.audit_rate))
-            audit_span(src_acc, dst_acc, step, y, x0, x1);
-        }
-        return;
-      }
-    }
-  }
-
-  // ---- online-integrity hook set (see core::HasIntegrityHooks) ----
-
-  bool integrity_active() const {
-    return ictx_.active() || (ictx_.watchdog && ictx_.watchdog->armed());
-  }
-
-  void set_integrity_pass(std::uint64_t pass) { ictx_.pass = pass; }
-
-  void integrity_heartbeat(int tid, telemetry::Phase p) {
-    if (ictx_.watchdog) ictx_.watchdog->heartbeat(tid, p);
-  }
-
-  void integrity_tile_begin(const core::Tile& tile, int tid) {
-    (void)tile;
-    if (tid == 0 && ictx_.active() && ictx_.options.sentinels) sentinels_.reset();
-  }
-
-  // Same retire-time sentinel discipline as StencilSlabKernel::integrity_round
-  // — one CRC per resident lattice plane (all 19 distribution sub-planes),
-  // verified just before the ring slot is overwritten or at pass end.
-  void integrity_round(const core::Tile& tile,
-                       const std::vector<std::vector<core::Step>>& rounds, long m,
-                       int tid) {
-    integrity_heartbeat(tid, telemetry::Phase::kAudit);
-    if (ictx_.plan && ictx_.plan->stall_fires(ictx_.pass, tid))
-      std::this_thread::sleep_for(std::chrono::milliseconds(ictx_.plan->stall_ms));
-    if (tid != 0 || !ictx_.active() || !ictx_.options.sentinels) return;
-    const telemetry::ScopedPhase phase(tid, telemetry::Phase::kAudit);
-    for (const core::Step& step : rounds[static_cast<std::size_t>(m)]) {
-      // Unsampled planes leave their slot sentinel-free (it was already
-      // verified and taken when the previous occupant retired), so the
-      // stride can never turn into a false positive downstream.
-      if (!integrity::plane_selects(ictx_.options.sentinel_stride, ictx_.pass,
-                                     step.z))
-        continue;
-      if (step.kind == core::StepKind::kLoad) {
-        sentinels_.record(0, step.dst_slot, step.z, plane_crc(tile, 0, step.dst_slot));
-      } else if (!step.to_external) {
-        sentinels_.record(step.t, step.dst_slot, step.z,
-                          plane_crc(tile, step.t, step.dst_slot));
-      }
-    }
-    if (ictx_.plan) maybe_flip_plane(tile, rounds[static_cast<std::size_t>(m)], m);
-    if (m + 1 < static_cast<long>(rounds.size())) {
-      for (const core::Step& step : rounds[static_cast<std::size_t>(m + 1)]) {
-        if (step.kind == core::StepKind::kLoad) {
-          verify_retiring(tile, 0, step.dst_slot);
-        } else if (!step.to_external) {
-          verify_retiring(tile, step.t, step.dst_slot);
-        }
-      }
-    } else {
-      sentinels_.for_each_valid([&](int instance, int slot,
-                                    const integrity::RingSentinels::Entry& e) {
-        verify_entry(tile, instance, slot, e);
-      });
-      sentinels_.reset();
-    }
-  }
-
-  void integrity_region_end(int tid) {
-    if (ictx_.watchdog) ictx_.watchdog->idle(tid);
   }
 
  private:
-  // ---- integrity helpers ----
+  // Every cell of a span runs the collide-stream update (walls are flags).
+  long row_begin(long x0) const { return x0; }
 
-  // Guards sample planes on the rotating stride grid; localization tests
-  // pin guard_stride = 1 for exact plane attribution.
-  bool guards_on(const core::Step& step) const {
-    return ictx_.active() && ictx_.options.guards &&
-           integrity::plane_selects(ictx_.options.guard_stride, ictx_.pass, step.z);
-  }
-
-  static void flip_value_bit(T* v, int bit) {
-    if (bit < 0 || bit >= static_cast<int>(sizeof(T)) * 8) bit = 0;
-    unsigned char* p = reinterpret_cast<unsigned char*>(v);
-    p[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
-  }
-
-  void guard_span(const T* p, long x0, long x1, const core::Step& step, long y,
-                  int instance, int i, const char* where) {
-    const double lo = ictx_.options.range_lo;
-    const double hi = ictx_.options.range_hi;
-    const bool banded = lo > -std::numeric_limits<double>::infinity() ||
-                        hi < std::numeric_limits<double>::infinity();
-    // Fast path: no plausibility band, nothing non-finite — one
-    // vectorizable bit scan instead of a per-element double conversion.
-    if (!banded && integrity::span_all_finite(p + x0, x1 - x0)) return;
-    for (long x = x0; x < x1; ++x) {
-      const double v = static_cast<double>(p[x]);
-      if (std::isfinite(v) && v >= lo && v <= hi) continue;
-      const int tid = parallel::current_tid();
-      integrity::SdcEvent e;
-      e.kind = integrity::SdcKind::kGuard;
-      e.pass = ictx_.pass;
-      e.instance = instance;
-      e.z = step.z;
-      e.y = y;
-      e.tid = tid;
-      e.detail = std::string(where) + " guard: non-finite/out-of-range at x=" +
-                 std::to_string(x) + " i=" + std::to_string(i) +
-                 " t=" + std::to_string(step.t);
-      ictx_.monitor->record(e);
-      telemetry::add_integrity_counts(tid, 0, 1, 0);
-      return;
-    }
-  }
-
-  // Audits row (y, z) by replaying the scalar-lane reference
-  // (lbm_update_row over ScalarTag — same expression tree per lane) into
-  // per-thread scratch and comparing all 19 distributions.
-  template <typename SrcAcc, typename DstAcc>
-  void audit_span(const SrcAcc& src_acc, const DstAcc& dst_acc, const core::Step& step,
-                  long y, long x0, long x1) {
-    const int tid = parallel::current_tid();
-    const telemetry::ScopedPhase phase(tid, telemetry::Phase::kAudit);
-    const long span = x1 - x0;
-    static thread_local std::vector<T> scratch;
-    scratch.resize(static_cast<std::size_t>(span) * kQ);
-    const auto ref_acc = [&](int i) -> T* {
-      return scratch.data() + static_cast<std::size_t>(i) * span - x0;
+  core::Extent compute_row(const core::Tile& tile, const core::Step& step, long y,
+                           long x0, long x1) {
+    const auto src = this->src_rows(tile, step, y);
+    const auto update = [&](const auto& dst_acc) {
+      lbm_update_row<T, Tag>(*geom_, ctx_, src, dst_acc, y, step.z, x0, x1,
+                             this->opts_.allow_fma);
     };
-    lbm_update_row<T, simd::ScalarTag>(*geom_, ctx_, src_acc, ref_acc, y, step.z, x0,
-                                       x1, allow_fma_);
-    for (int i = 0; i < kQ; ++i) {
-      const T* fast = dst_acc(i);
-      const T* ref = ref_acc(i);
-      for (long x = x0; x < x1; ++x) {
-        if (integrity::audit_matches(fast[x], ref[x], allow_fma_)) continue;
-        integrity::SdcEvent e;
-        e.kind = integrity::SdcKind::kAudit;
-        e.pass = ictx_.pass;
-        e.instance = step.t;
-        e.z = step.z;
-        e.y = y;
-        e.tid = tid;
-        e.detail = "lbm audit mismatch at x=" + std::to_string(x) + " i=" +
-                   std::to_string(i) + ": fast=" +
-                   std::to_string(static_cast<double>(fast[x])) + " ref=" +
-                   std::to_string(static_cast<double>(ref[x]));
-        ictx_.monitor->record(e);
-        telemetry::add_integrity_counts(tid, 0, 1, 0);
-        return;
-      }
+    if (step.to_external) {
+      update([&](int i) -> T* { return this->dst_->row(i, y, step.z); });
+    } else {
+      update([&](int i) -> T* {
+        return this->ring_row(tile, step.t, step.dst_slot, i, y);
+      });
     }
-    ictx_.monitor->add_audited_rows(1);
-    telemetry::add_integrity_counts(tid, 1, 0, 0);
+    return {x0, x1};
   }
 
-  // CRC32C over all 19 distribution sub-planes of ring slot (instance, slot),
-  // restricted to the region the schedule wrote there.
-  std::uint32_t plane_crc(const core::Tile& tile, int instance, int slot) {
-    const core::Rect& region = tile.region(instance);
-    std::uint32_t crc = 0;
-    for (int i = 0; i < kQ; ++i) {
-      for (long y = region.y.begin; y < region.y.end; ++y) {
-        const T* row = buffer_row(tile, instance, slot, i, y);
-        crc = crc32c(row + region.x.begin,
-                     static_cast<std::size_t>(region.x.size()) * sizeof(T), crc);
-      }
-    }
-    return crc;
-  }
-
-  void verify_retiring(const core::Tile& tile, int instance, int slot) {
-    const integrity::RingSentinels::Entry e = sentinels_.take(instance, slot);
-    if (e.valid) verify_entry(tile, instance, slot, e);
-  }
-
-  void verify_entry(const core::Tile& tile, int instance, int slot,
-                    const integrity::RingSentinels::Entry& e) {
-    ictx_.monitor->add_sentinel_checks(1);
-    const std::uint32_t crc = plane_crc(tile, instance, slot);
-    if (crc == e.crc) return;
-    integrity::SdcEvent ev;
-    ev.kind = integrity::SdcKind::kSentinel;
-    ev.pass = ictx_.pass;
-    ev.instance = instance;
-    ev.slot = slot;
-    ev.z = e.z;
-    ev.tid = 0;
-    ev.detail = "lbm resident plane CRC mismatch (instance " +
-                std::to_string(instance) + ", slot " + std::to_string(slot) + ", z " +
-                std::to_string(e.z) + ")";
-    ictx_.monitor->record(ev);
-    telemetry::add_integrity_counts(0, 0, 1, 0);
-  }
-
-  void maybe_flip_plane(const core::Tile& tile, const std::vector<core::Step>& round,
-                        long m) {
-    for (const core::Step& step : round) {
-      if (step.kind != core::StepKind::kLoad) continue;
-      if (!ictx_.plan->plane_flip_fires(ictx_.pass, m)) return;
-      const core::Rect& region = tile.region(0);
-      T* row = buffer_row(tile, 0, step.dst_slot, 0, region.y.begin);
-      flip_value_bit(&row[region.x.begin], ictx_.plan->flip_bit);
-      return;
-    }
-  }
-
-  T* buffer_row(const core::Tile& tile, int instance, int slot, int i, long y) {
-    T* plane = buffer_.data() +
-               ((static_cast<std::size_t>(instance) * ring_ + static_cast<std::size_t>(slot)) *
-                    kQ +
-                static_cast<std::size_t>(i)) *
-                   static_cast<std::size_t>(pitch_) * buf_ny_;
-    return plane + (y - tile.load.y.begin) * pitch_ - tile.load.x.begin;
+  // The scalar-lane reference: lbm_update_row over ScalarTag, the same
+  // expression tree per lane.
+  template <typename Ref>
+  void reference_row(const core::Tile& tile, const core::Step& step, long y, long a,
+                     long b, const Ref& ref) {
+    lbm_update_row<T, simd::ScalarTag>(*geom_, ctx_, this->src_rows(tile, step, y), ref,
+                                       y, step.z, a, b, this->opts_.allow_fma);
   }
 
   const Geometry* geom_;
   CollideCtx<T> ctx_;
-  const Lattice<T>* src_;
-  Lattice<T>* dst_;
-  bool allow_fma_ = false;
-  long pitch_;
-  long buf_ny_;
-  int ring_;
-  integrity::IntegrityContext ictx_;
-  integrity::RingSentinels sentinels_;
-  AlignedBuffer<T> buffer_;
 };
 
 }  // namespace s35::lbm

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "core/engine.h"
 #include "core/schedule.h"
+#include "core/slab_kernel.h"
 #include "core/tiling.h"
 #include "grid/grid3.h"
 #include "telemetry/telemetry.h"
@@ -134,74 +135,88 @@ RowSet stencil_rows(int radius, bool cube) {
 
 // --------------------------------------------------------------- stencil --
 
-// Tracing Engine35 kernel policy mirroring StencilSlabKernel's accesses.
-class TraceStencilSlab {
- public:
-  TraceStencilSlab(Mem& cache, Layout& lay, std::uint64_t src, std::uint64_t dst,
-                   long dim_x, long dim_y, int dim_t, int ring, const RowSet& rows,
-                   bool streaming, int radius)
+// Tracing Engine35 kernel policies replaying the slab kernels' accesses
+// (core/slab_kernel.h). TraceSlab mirrors the shared part — the kLoad and
+// kCopy steps over C component planes at the ring addresses of the
+// kernels' own core::RingLayout — and each field's tracer adds the reads
+// of its compute step.
+class TraceSlab {
+ protected:
+  // src and dst point at the C external component bases of each field.
+  TraceSlab(Mem& cache, Layout& lay, const std::uint64_t* src, const std::uint64_t* dst,
+            int components, long dim_x, long dim_y, int dim_t, int ring, bool streaming)
       : cache_(cache), lay_(lay), src_(src), dst_(dst),
-        buf_pitch_(grid::padded_pitch(dim_x, lay.elem())), buf_ny_(dim_y), ring_(ring),
-        rows_(rows), streaming_(streaming), radius_(radius) {
-    buf_base_ = lay.reserve(static_cast<std::uint64_t>(buf_pitch_) * dim_y * ring *
-                            dim_t * lay.elem());
-  }
+        ring_(dim_x, dim_y, ring, components, lay.elem()),
+        buf_base_(lay.reserve(ring_.elements(dim_t) * lay.elem())),
+        streaming_(streaming) {}
 
-  void execute(const core::Tile& tile, const core::Step& step, long y, long x0, long x1) {
-    const std::uint64_t n = static_cast<std::uint64_t>(x1 - x0) * lay_.elem();
-    switch (step.kind) {
-      case core::StepKind::kLoad:
-        cache_.read(lay_.at(src_, x0, y, step.z), n);
-        cache_.write(buf_addr(tile, 0, step.dst_slot, y, x0), n);
-        return;
-      case core::StepKind::kCopy:
-        cache_.read(buf_addr(tile, step.t - 1, step.src_slots[0], y, x0), n);
-        external_or_buffer_write(tile, step, y, x0, n);
-        return;
-      case core::StepKind::kCompute: {
-        const long ra = x0 - radius_ >= 0 ? x0 - radius_ : 0;
-        const long rb = x1 + radius_ <= lay_.nx() ? x1 + radius_ : lay_.nx();
-        for (const auto& [dz, dy] : rows_.rows) {
-          const int slot = step.src_slots[static_cast<std::size_t>(dz + radius_)];
-          cache_.read(buf_addr(tile, step.t - 1, slot, y + dy, ra),
-                      static_cast<std::uint64_t>(rb - ra) * lay_.elem());
-        }
-        external_or_buffer_write(tile, step, y, x0, n);
-        return;
-      }
-    }
-  }
-
- private:
-  void external_or_buffer_write(const core::Tile& tile, const core::Step& step, long y,
-                                long x0, std::uint64_t n) {
-    if (step.to_external) {
-      if (streaming_) {
-        cache_.stream_write(lay_.at(dst_, x0, y, step.z), n);
+  // Replays a kLoad or kCopy step; false for a kCompute step.
+  bool replay_move(const core::Tile& tile, const core::Step& step, long y, long x0,
+                   std::uint64_t n) {
+    if (step.kind == core::StepKind::kCompute) return false;
+    for (int c = 0; c < ring_.components; ++c) {
+      if (step.kind == core::StepKind::kLoad) {
+        cache_.read(lay_.at(src_[c], x0, y, step.z), n);
+        cache_.write(buf_addr(tile, 0, step.dst_slot, c, y, x0), n);
       } else {
-        cache_.write(lay_.at(dst_, x0, y, step.z), n);
+        cache_.read(buf_addr(tile, step.t - 1, step.src_slots[0], c, y, x0), n);
+        write_out(tile, step, c, y, x0, n);
       }
+    }
+    return true;
+  }
+
+  // The write of component c a step makes: to the output field (streamed
+  // when the kernel streams its stores) or to its instance's ring slot.
+  void write_out(const core::Tile& tile, const core::Step& step, int c, long y, long x0,
+                 std::uint64_t n) {
+    if (!step.to_external) {
+      cache_.write(buf_addr(tile, step.t, step.dst_slot, c, y, x0), n);
+    } else if (streaming_) {
+      cache_.stream_write(lay_.at(dst_[c], x0, y, step.z), n);
     } else {
-      cache_.write(buf_addr(tile, step.t, step.dst_slot, y, x0), n);
+      cache_.write(lay_.at(dst_[c], x0, y, step.z), n);
     }
   }
 
-  std::uint64_t buf_addr(const core::Tile& tile, int instance, int slot, long y, long x) const {
-    const std::uint64_t plane =
-        (static_cast<std::uint64_t>(instance) * ring_ + static_cast<std::uint64_t>(slot)) *
-        static_cast<std::uint64_t>(buf_pitch_) * buf_ny_;
-    return buf_base_ + (plane + static_cast<std::uint64_t>(y - tile.load.y.begin) * buf_pitch_ +
-                        static_cast<std::uint64_t>(x - tile.load.x.begin)) *
-                           lay_.elem();
+  std::uint64_t buf_addr(const core::Tile& tile, int instance, int slot, int c, long y,
+                         long x) const {
+    return buf_base_ +
+           static_cast<std::uint64_t>(ring_.offset(tile, instance, slot, c, y, x)) * lay_.elem();
   }
 
   Mem& cache_;
   const Layout& lay_;
-  std::uint64_t src_, dst_, buf_base_;
-  long buf_pitch_, buf_ny_;
-  int ring_;
-  RowSet rows_;
+  const std::uint64_t* src_;
+  const std::uint64_t* dst_;
+  core::RingLayout ring_;
+  std::uint64_t buf_base_;
   bool streaming_;
+};
+
+class TraceStencilSlab : TraceSlab {
+ public:
+  TraceStencilSlab(Mem& cache, Layout& lay, const std::uint64_t& src,
+                   const std::uint64_t& dst, long dim_x, long dim_y, int dim_t, int ring,
+                   const RowSet& rows, bool streaming, int radius)
+      : TraceSlab(cache, lay, &src, &dst, 1, dim_x, dim_y, dim_t, ring, streaming),
+        rows_(rows), radius_(radius) {}
+
+  void execute(const core::Tile& tile, const core::Step& step, long y, long x0, long x1) {
+    const std::uint64_t n = static_cast<std::uint64_t>(x1 - x0) * lay_.elem();
+    if (replay_move(tile, step, y, x0, n)) return;
+    const long ra = x0 - radius_ >= 0 ? x0 - radius_ : 0;
+    const long rb = x1 + radius_ <= lay_.nx() ? x1 + radius_ : lay_.nx();
+    for (const auto& [dz, dy] : rows_.rows) {
+      const int slot = step.src_slots[static_cast<std::size_t>(dz + radius_)];
+      cache_.read(buf_addr(tile, step.t - 1, slot, 0, y + dy, ra),
+                  static_cast<std::uint64_t>(rb - ra) * lay_.elem());
+    }
+    write_out(tile, step, 0, y, x0, n);
+  }
+
+ private:
+  RowSet rows_;
   int radius_;
 };
 
@@ -390,76 +405,31 @@ TrafficReport trace_stencil(Scheme scheme, const TraceConfig& cfg) {
 
 namespace {
 
-// Tracing Engine35 kernel mirroring LbmSlabKernel.
-class TraceLbmSlab {
+class TraceLbmSlab : TraceSlab {
  public:
   TraceLbmSlab(Mem& cache, Layout& lay, const std::uint64_t* src,
                const std::uint64_t* dst, std::uint64_t flags, long dim_x, long dim_y,
                int dim_t, int ring)
-      : cache_(cache), lay_(lay), src_(src), dst_(dst), flags_(flags),
-        buf_pitch_(grid::padded_pitch(dim_x, lay.elem())), buf_ny_(dim_y), ring_(ring) {
-    buf_base_ = lay.reserve(static_cast<std::uint64_t>(buf_pitch_) * dim_y * ring *
-                            dim_t * kLbmQ * lay.elem());
-  }
+      : TraceSlab(cache, lay, src, dst, kLbmQ, dim_x, dim_y, dim_t, ring, false),
+        flags_(flags) {}
 
   void execute(const core::Tile& tile, const core::Step& step, long y, long x0, long x1) {
     const std::uint64_t n = static_cast<std::uint64_t>(x1 - x0) * lay_.elem();
-    switch (step.kind) {
-      case core::StepKind::kLoad:
-        for (int i = 0; i < kLbmQ; ++i) {
-          cache_.read(lay_.at(src_[i], x0, y, step.z), n);
-          cache_.write(buf_addr(tile, 0, step.dst_slot, i, y, x0), n);
-        }
-        return;
-      case core::StepKind::kCopy:
-        for (int i = 0; i < kLbmQ; ++i) {
-          cache_.read(buf_addr(tile, step.t - 1, step.src_slots[0], i, y, x0), n);
-          if (step.to_external) {
-            cache_.write(lay_.at(dst_[i], x0, y, step.z), n);
-          } else {
-            cache_.write(buf_addr(tile, step.t, step.dst_slot, i, y, x0), n);
-          }
-        }
-        return;
-      case core::StepKind::kCompute:
-        // Flag row for the cell + gathers from 19 upstream rows.
-        cache_.read(flags_ + static_cast<std::uint64_t>((step.z * lay_.ny() + y) *
-                                                        grid::padded_pitch(lay_.nx(), 1)) +
-                        static_cast<std::uint64_t>(x0),
-                    static_cast<std::uint64_t>(x1 - x0));
-        for (int i = 0; i < kLbmQ; ++i) {
-          const int slot = step.src_slots[static_cast<std::size_t>(1 - kCz[i] + 0)];
-          cache_.read(buf_addr(tile, step.t - 1, slot, i, y - kCy[i], x0 - kCx[i]), n);
-          if (step.to_external) {
-            cache_.write(lay_.at(dst_[i], x0, y, step.z), n);
-          } else {
-            cache_.write(buf_addr(tile, step.t, step.dst_slot, i, y, x0), n);
-          }
-        }
-        return;
+    if (replay_move(tile, step, y, x0, n)) return;
+    // Flag row for the cell + gathers from 19 upstream rows.
+    cache_.read(flags_ + static_cast<std::uint64_t>((step.z * lay_.ny() + y) *
+                                                    grid::padded_pitch(lay_.nx(), 1)) +
+                    static_cast<std::uint64_t>(x0),
+                static_cast<std::uint64_t>(x1 - x0));
+    for (int i = 0; i < kLbmQ; ++i) {
+      const int slot = step.src_slots[static_cast<std::size_t>(1 - kCz[i] + 0)];
+      cache_.read(buf_addr(tile, step.t - 1, slot, i, y - kCy[i], x0 - kCx[i]), n);
+      write_out(tile, step, i, y, x0, n);
     }
   }
 
  private:
-  std::uint64_t buf_addr(const core::Tile& tile, int instance, int slot, int i, long y,
-                         long x) const {
-    const std::uint64_t plane =
-        ((static_cast<std::uint64_t>(instance) * ring_ + static_cast<std::uint64_t>(slot)) *
-             kLbmQ +
-         static_cast<std::uint64_t>(i)) *
-        static_cast<std::uint64_t>(buf_pitch_) * buf_ny_;
-    return buf_base_ + (plane + static_cast<std::uint64_t>(y - tile.load.y.begin) * buf_pitch_ +
-                        static_cast<std::uint64_t>(x - tile.load.x.begin)) *
-                           lay_.elem();
-  }
-
-  Mem& cache_;
-  Layout& lay_;
-  const std::uint64_t* src_;
-  const std::uint64_t* dst_;
-  std::uint64_t flags_, buf_base_;
-  long buf_pitch_, buf_ny_;
-  int ring_;
+  std::uint64_t flags_;
 };
 
 void trace_lbm_naive_row(Mem& cache, const Layout& lay, const std::uint64_t* src,

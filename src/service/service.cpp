@@ -375,6 +375,10 @@ fault::Status JobService::run_job(const JobLedger::Started& job, JobResult& out)
     if (job.cancel->load(std::memory_order_acquire)) break;
     if (job.deadline_ns != 0 && now_ns() > job.deadline_ns) break;
     const int chunk = std::min(dim_t, spec.steps - done);
+    // The chunk's pass ordinal, also after a failover resume: the rotating
+    // audit/sentinel/guard samplers then pick the same sites as one call
+    // running every pass.
+    cfg.integrity.pass = static_cast<std::uint64_t>(done / dim_t);
     if (spec.audit && spec.kernel == "27pt") {
       st = run_sweep_verified_auto(stencil::Variant::kBlocked35D,
                                    stencil::default_stencil27<float>(), pair, chunk,

@@ -1,29 +1,12 @@
-// Engine35 kernel policy for grid stencils (7-point, 27-point).
-//
-// Owns the on-chip blocking buffer: dim_t time instances x ring slots of
-// XY sub-planes (eq. 1 layout). Instance 0 receives loaded input planes,
-// instances 1..dim_t-1 hold intermediate time steps, and instance dim_t's
-// results go straight to the output grid. All row addressing is in global
-// grid coordinates; buffer rows are exposed through pointers pre-offset by
-// the tile origin so the stencil inner loop is identical for buffered and
-// external storage.
+// Engine35 kernel policy for grid stencils (7-point, 27-point): the
+// stencil row body over the shared slab kernel (core/slab_kernel.h), which
+// owns the ring buffer, the load/copy steps and the integrity hooks.
 #pragma once
 
-#include <chrono>
-#include <cmath>
-#include <cstring>
-#include <limits>
-#include <string>
-#include <thread>
-
-#include "common/aligned_buffer.h"
-#include "common/crc32c.h"
-#include "core/engine.h"
 #include "core/kernel_options.h"
-#include "fault/fault_plan.h"
+#include "core/slab_kernel.h"
 #include "grid/grid3.h"
 #include "integrity/integrity.h"
-#include "integrity/watchdog.h"
 #include "parallel/thread_team.h"
 #include "simd/simd.h"
 #include "stencil/stencil_kernels.h"
@@ -32,7 +15,10 @@
 namespace s35::stencil {
 
 template <typename S, typename T, typename Tag = simd::DefaultTag>
-class StencilSlabKernel {
+class StencilSlabKernel
+    : public core::SlabKernel<StencilSlabKernel<S, T, Tag>, grid::Grid3<T>, S::radius> {
+  using Base = core::SlabKernel<StencilSlabKernel, grid::Grid3<T>, S::radius>;
+  friend Base;
   using V = simd::Vec<T, Tag>;
   static constexpr long R = S::radius;
 
@@ -41,29 +27,9 @@ class StencilSlabKernel {
                     long dim_x, long dim_y, int dim_t, int planes_per_instance,
                     bool streaming_stores = false, core::KernelOptions opts = {},
                     integrity::IntegrityContext ictx = {})
-      : stencil_(stencil),
-        src_(&src),
-        dst_(&dst),
-        pitch_(grid::padded_pitch(dim_x, sizeof(T))),
-        buf_ny_(dim_y),
-        ring_(planes_per_instance),
-        streaming_(streaming_stores),
-        opts_(opts),
-        ictx_(ictx),
-        buffer_(static_cast<std::size_t>(pitch_) * dim_y * ring_ * dim_t) {
-    S35_CHECK(dim_t >= 1 && planes_per_instance >= 2 * R + 1);
-    if (ictx_.active() && ictx_.options.sentinels)
-      sentinels_.configure(dim_t, planes_per_instance);
-  }
-
-  std::size_t buffer_bytes() const { return buffer_.size() * sizeof(T); }
-
-  // Re-targets the external grids (after a Jacobi swap) so one kernel —
-  // and its multi-MB ring buffer — serves every pass of a multi-pass run.
-  void rebind(const grid::Grid3<T>& src, grid::Grid3<T>& dst) {
-    src_ = &src;
-    dst_ = &dst;
-  }
+      : Base(src, dst, dim_x, dim_y, dim_t, planes_per_instance, opts, ictx),
+        stencil_(stencil),
+        streaming_(streaming_stores) {}
 
   // ---- row-pair fusion hook set (see core::HasPairedRows) ----
   //
@@ -73,7 +39,7 @@ class StencilSlabKernel {
   // path.
   void set_paired_rows(bool on) { paired_rows_ = on; }
   bool paired_rows() const {
-    return paired_rows_ && opts_.fast_path && !ictx_.active();
+    return paired_rows_ && this->opts_.fast_path && !this->ictx_.active();
   }
 
   // Updates rows y and y+1 of a compute step in one register-blocked pass;
@@ -81,38 +47,26 @@ class StencilSlabKernel {
   // frozen-Y rows or kernels without a pair fast path).
   void execute_pair(const core::Tile& tile, const core::Step& step, long y, long x0,
                     long x1) {
-    if constexpr (HasFastRowPair<S, V, PairAcc>) {
-      if (y >= R && y + 1 < src_->ny() - R) {
-        const int src_instance = step.t - 1;
-        const T* frozen0 = buffer_row(tile, src_instance, step.src_slots[R], y);
-        const T* frozen1 = buffer_row(tile, src_instance, step.src_slots[R], y + 1);
-        T* out0 = step.to_external ? dst_->row(y, step.z)
-                                   : buffer_row(tile, step.t, step.dst_slot, y);
-        T* out1 = step.to_external ? dst_->row(y + 1, step.z)
-                                   : buffer_row(tile, step.t, step.dst_slot, y + 1);
-        // Leading/trailing cells inside the frozen X shell, both rows.
-        const long xa = x0 > R ? x0 : R;
-        const long xb = x1 < src_->nx() - R ? x1 : src_->nx() - R;
-        if (x0 < xa) {
-          const long e = xa < x1 ? xa : x1;
-          copy_span(frozen0, out0, x0, e);
-          copy_span(frozen1, out1, x0, e);
-        }
-        if (xb < x1) {
-          const long b = xb > x0 ? xb : x0;
-          copy_span(frozen0, out0, b, x1);
-          copy_span(frozen1, out1, b, x1);
-        }
+    if constexpr (HasFastRowPair<S, V, RingAcc>) {
+      if (y >= R && y + 1 < this->src_->ny() - R) {
+        const T* frozen0 = this->ring_row(tile, step.t - 1, step.src_slots[R], 0, y);
+        const T* frozen1 = this->ring_row(tile, step.t - 1, step.src_slots[R], 0, y + 1);
+        T* out0 = this->out_row(tile, step, 0, y);
+        T* out1 = this->out_row(tile, step, 0, y + 1);
+        const long xa = row_begin(x0);
+        const long xb = row_end(x1);
+        copy_shell(frozen0, out0, x0, x1, xa, xb);
+        copy_shell(frozen1, out1, x0, x1, xa, xb);
         if (xa >= xb) return;
-        const PairAcc acc{this, &tile, &step, y};
+        const RingAcc acc{this->src_rows(tile, step, y)};
         RowFastOpts ropt;
         ropt.stream = streaming_ && step.to_external;
-        ropt.pf_dist = opts_.prefetch_dist;
-        if (opts_.prefetch) {
+        ropt.pf_dist = this->opts_.prefetch_dist;
+        if (this->opts_.prefetch) {
           if (y + 3 < tile.load.y.end) ropt.pf0 = acc(0, 3);
           if (y + 2 < tile.load.y.end) ropt.pf1 = acc(1, 2);
         }
-        if (opts_.allow_fma) {
+        if (this->opts_.allow_fma) {
           stencil_.template rows2_fast<V, true>(acc, out0, out1, xa, xb, ropt);
         } else {
           stencil_.template rows2_fast<V, false>(acc, out0, out1, xa, xb, ropt);
@@ -122,330 +76,85 @@ class StencilSlabKernel {
         return;
       }
     }
-    execute(tile, step, y, x0, x1);
-    execute(tile, step, y + 1, x0, x1);
-  }
-
-  void execute(const core::Tile& tile, const core::Step& step, long y, long x0, long x1) {
-    switch (step.kind) {
-      case core::StepKind::kLoad: {
-        const T* in = src_->row(y, step.z);
-        T* out = buffer_row(tile, 0, step.dst_slot, y);
-        copy_span(in, out, x0, x1);
-        if (guards_on(step)) guard_span(out, x0, x1, step, y, 0, "load");
-        return;
-      }
-      case core::StepKind::kCopy: {
-        const T* in = buffer_row(tile, step.t - 1, step.src_slots[0], y);
-        T* out = step.to_external ? dst_->row(y, step.z)
-                                  : buffer_row(tile, step.t, step.dst_slot, y);
-        copy_span(in, out, x0, x1);
-        if (guards_on(step) && step.to_external)
-          guard_span(out, x0, x1, step, y, step.t, "store");
-        return;
-      }
-      case core::StepKind::kCompute:
-        compute_span(tile, step, y, x0, x1);
-        if (guards_on(step) && step.to_external)
-          guard_span(dst_->row(y, step.z), x0, x1, step, y, step.t, "store");
-        return;
-    }
-  }
-
-  // ---- online-integrity hook set (see core::HasIntegrityHooks) ----
-
-  bool integrity_active() const {
-    return ictx_.active() || (ictx_.watchdog && ictx_.watchdog->armed());
-  }
-
-  // The blocked-pass ordinal feeds the audit sampler and the fault plan;
-  // the verified runners bump it per pass (re-executions keep it).
-  void set_integrity_pass(std::uint64_t pass) { ictx_.pass = pass; }
-
-  void integrity_heartbeat(int tid, telemetry::Phase p) {
-    if (ictx_.watchdog) ictx_.watchdog->heartbeat(tid, p);
-  }
-
-  void integrity_tile_begin(const core::Tile& tile, int tid) {
-    (void)tile;
-    if (tid == 0 && ictx_.active() && ictx_.options.sentinels) sentinels_.reset();
-  }
-
-  // Fenced per-round slot (tid 0 does sentinel work; see engine.h). Rolls
-  // the sentinel table forward: record planes round m produced, then verify
-  // the planes round m+1 is about to overwrite — i.e. every resident plane
-  // is CRC-checked exactly once, when it retires (or at pass end).
-  void integrity_round(const core::Tile& tile,
-                       const std::vector<std::vector<core::Step>>& rounds, long m,
-                       int tid) {
-    integrity_heartbeat(tid, telemetry::Phase::kAudit);
-    if (ictx_.plan && ictx_.plan->stall_fires(ictx_.pass, tid))
-      std::this_thread::sleep_for(std::chrono::milliseconds(ictx_.plan->stall_ms));
-    if (tid != 0 || !ictx_.active() || !ictx_.options.sentinels) return;
-    const telemetry::ScopedPhase phase(tid, telemetry::Phase::kAudit);
-    for (const core::Step& step : rounds[static_cast<std::size_t>(m)]) {
-      // Unsampled planes leave their slot sentinel-free (it was already
-      // verified and taken when the previous occupant retired), so the
-      // stride can never turn into a false positive downstream.
-      if (!integrity::plane_selects(ictx_.options.sentinel_stride, ictx_.pass,
-                                     step.z))
-        continue;
-      if (step.kind == core::StepKind::kLoad) {
-        sentinels_.record(0, step.dst_slot, step.z, plane_crc(tile, 0, step.dst_slot));
-      } else if (!step.to_external) {
-        sentinels_.record(step.t, step.dst_slot, step.z,
-                          plane_crc(tile, step.t, step.dst_slot));
-      }
-    }
-    if (ictx_.plan) maybe_flip_plane(tile, rounds[static_cast<std::size_t>(m)], m);
-    if (m + 1 < static_cast<long>(rounds.size())) {
-      for (const core::Step& step : rounds[static_cast<std::size_t>(m + 1)]) {
-        if (step.kind == core::StepKind::kLoad) {
-          verify_retiring(tile, 0, step.dst_slot);
-        } else if (!step.to_external) {
-          verify_retiring(tile, step.t, step.dst_slot);
-        }
-      }
-    } else {
-      sentinels_.for_each_valid([&](int instance, int slot,
-                                    const integrity::RingSentinels::Entry& e) {
-        verify_entry(tile, instance, slot, e);
-      });
-      sentinels_.reset();
-    }
-  }
-
-  void integrity_region_end(int tid) {
-    if (ictx_.watchdog) ictx_.watchdog->idle(tid);
+    this->execute(tile, step, y, x0, x1);
+    this->execute(tile, step, y + 1, x0, x1);
   }
 
  private:
-  static void copy_span(const T* in, T* out, long x0, long x1) {
-    std::memcpy(out + x0, in + x0, static_cast<std::size_t>(x1 - x0) * sizeof(T));
-  }
-
-  // acc(dz, dy) accessor over instance t-1 ring rows for the pair fast
-  // path; valid for dy in [-1, 2] (both paired rows are Y-interior, so
-  // y+2 stays inside the tile's load window).
-  struct PairAcc {
-    StencilSlabKernel* k;
-    const core::Tile* tile;
-    const core::Step* step;
-    long y;
-    const T* operator()(int dz, int dy) const {
-      return k->buffer_row(*tile, step->t - 1,
-                           step->src_slots[static_cast<std::size_t>(dz + R)], y + dy);
-    }
+  // acc(dz, dy) accessor over instance t-1 ring rows around row y; valid
+  // for dy in [-R, R], and [-1, 2] on the pair fast path (both paired rows
+  // are Y-interior, so y+2 stays inside the tile's load window).
+  struct RingAcc {
+    typename Base::SrcRows rows;
+    const T* operator()(int dz, int dy) const { return rows(0, dy, dz); }
   };
 
-  // Row of the ring plane (instance, slot), indexable with global x; valid
-  // for global y within the tile's load window.
-  T* buffer_row(const core::Tile& tile, int instance, int slot, long y) {
-    T* plane = buffer_.data() +
-               (static_cast<std::size_t>(instance) * ring_ + static_cast<std::size_t>(slot)) *
-                   static_cast<std::size_t>(pitch_) * buf_ny_;
-    return plane + (y - tile.load.y.begin) * pitch_ - tile.load.x.begin;
+  // Cells outside [R, nx-R) lie in the frozen X shell.
+  long row_begin(long x0) const { return x0 > R ? x0 : R; }
+  long row_end(long x1) const {
+    return x1 < this->src_->nx() - R ? x1 : this->src_->nx() - R;
   }
 
-  void compute_span(const core::Tile& tile, const core::Step& step, long y, long x0,
-                    long x1) {
-    const int src_instance = step.t - 1;
+  // Copies the frozen-shell cells of [x0, x1) — those outside [xa, xb).
+  static void copy_shell(const T* frozen, T* out, long x0, long x1, long xa, long xb) {
+    if (x0 < xa) Base::copy_span(frozen, out, x0, xa < x1 ? xa : x1);
+    if (xb < x1) Base::copy_span(frozen, out, xb > x0 ? xb : x0, x1);
+  }
+
+  core::Extent compute_row(const core::Tile& tile, const core::Step& step, long y,
+                           long x0, long x1) {
     // src_slots holds planes z-R .. z+R; index R is the center plane.
-    const T* frozen = buffer_row(tile, src_instance, step.src_slots[R], y);
-    T* out = step.to_external ? dst_->row(y, step.z)
-                              : buffer_row(tile, step.t, step.dst_slot, y);
+    const T* frozen = this->ring_row(tile, step.t - 1, step.src_slots[R], 0, y);
+    T* out = this->out_row(tile, step, 0, y);
 
     // Rows inside the frozen Y shell do not change in time.
-    if (y < R || y >= src_->ny() - R) {
-      copy_span(frozen, out, x0, x1);
-      return;
+    if (y < R || y >= this->src_->ny() - R) {
+      this->copy_span(frozen, out, x0, x1);
+      return {};
     }
 
-    // Leading/trailing cells inside the frozen X shell.
-    const long xa = x0 > R ? x0 : R;
-    const long xb = x1 < src_->nx() - R ? x1 : src_->nx() - R;
-    if (x0 < xa) copy_span(frozen, out, x0, xa < x1 ? xa : x1);
-    if (xb < x1) copy_span(frozen, out, xb > x0 ? xb : x0, x1);
-    if (xa >= xb) return;
+    const long xa = row_begin(x0);
+    const long xb = row_end(x1);
+    copy_shell(frozen, out, x0, x1, xa, xb);
+    if (xa >= xb) return {};
 
-    const auto acc = [&](int dz, int dy) -> const T* {
-      return buffer_row(tile, src_instance,
-                        step.src_slots[static_cast<std::size_t>(dz + R)], y + dy);
-    };
-    const S row_stencil = for_row(stencil_, y, step.z);
+    const RingAcc acc{this->src_rows(tile, step, y)};
     RowFastOpts ropt;
     ropt.stream = streaming_ && step.to_external;
-    ropt.pf_dist = opts_.prefetch_dist;
-    if (opts_.fast_path && opts_.prefetch) {
+    ropt.pf_dist = this->opts_.prefetch_dist;
+    if (this->opts_.fast_path && this->opts_.prefetch) {
       // Touch the ring-slot rows the next row's update will read: two rows
       // down in the center slot, one row down in the z+1 slot. Clamped to
       // the tile's load window so the pointers stay inside the buffer.
       if (y + 2 < tile.load.y.end) ropt.pf0 = acc(0, 2);
       if (y + 1 < tile.load.y.end) ropt.pf1 = acc(1, 1);
     }
-    const bool fast = update_row_auto<V>(row_stencil, acc, out, xa, xb,
-                                         opts_.fast_path, opts_.allow_fma, ropt);
+    const bool fast =
+        update_row_auto<V>(for_row(stencil_, y, step.z), acc, out, xa, xb,
+                           this->opts_.fast_path, this->opts_.allow_fma, ropt);
     if (ropt.stream) {
       // Make the non-temporal stores globally visible before this thread
       // signals the round barrier.
       simd::stream_fence();
     }
     telemetry::add_row_counts(parallel::current_tid(), fast ? 1 : 0, fast ? 0 : 1);
-
-    if (ictx_.active()) {
-      // Wrong-result-row injection: corrupt one element of the final
-      // external write of row (z, y) — a fault only the audits can catch.
-      if (ictx_.plan && step.to_external) {
-        const long xc = src_->nx() / 2;
-        if (xc >= xa && xc < xb &&
-            ictx_.plan->wrong_row_fires(ictx_.pass, step.z, y))
-          flip_value_bit(&out[xc], ictx_.plan->flip_bit);
-      }
-      if (integrity::audit_selects(ictx_.options.audit_seed, ictx_.pass, step.t,
-                                   step.z, y, ictx_.options.audit_rate))
-        audit_span(row_stencil, acc, out, xa, xb, step, y);
-    }
+    return {xa, xb};
   }
 
-  // ---- integrity helpers ----
-
-  // Guards sample planes on the rotating stride grid; localization tests
-  // pin guard_stride = 1 for exact plane attribution.
-  bool guards_on(const core::Step& step) const {
-    return ictx_.active() && ictx_.options.guards &&
-           integrity::plane_selects(ictx_.options.guard_stride, ictx_.pass, step.z);
-  }
-
-  static void flip_value_bit(T* v, int bit) {
-    if (bit < 0 || bit >= static_cast<int>(sizeof(T)) * 8) bit = 0;
-    unsigned char* p = reinterpret_cast<unsigned char*>(v);
-    p[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
-  }
-
-  // NaN/Inf (and optional range) scan of a written span; a hit is localized
-  // to (plane z, row y, step) — corrupted external input shows up at its
-  // load, corrupted results at their external write.
-  void guard_span(const T* p, long x0, long x1, const core::Step& step, long y,
-                  int instance, const char* where) {
-    const double lo = ictx_.options.range_lo;
-    const double hi = ictx_.options.range_hi;
-    const bool banded = lo > -std::numeric_limits<double>::infinity() ||
-                        hi < std::numeric_limits<double>::infinity();
-    // Fast path: no plausibility band, nothing non-finite — one
-    // vectorizable bit scan instead of a per-element double conversion.
-    if (!banded && integrity::span_all_finite(p + x0, x1 - x0)) return;
-    for (long x = x0; x < x1; ++x) {
-      const double v = static_cast<double>(p[x]);
-      if (std::isfinite(v) && v >= lo && v <= hi) continue;
-      const int tid = parallel::current_tid();
-      integrity::SdcEvent e;
-      e.kind = integrity::SdcKind::kGuard;
-      e.pass = ictx_.pass;
-      e.instance = instance;
-      e.z = step.z;
-      e.y = y;
-      e.tid = tid;
-      e.detail = std::string(where) + " guard: non-finite/out-of-range at x=" +
-                 std::to_string(x) + " t=" + std::to_string(step.t);
-      ictx_.monitor->record(e);
-      telemetry::add_integrity_counts(tid, 0, 1, 0);
-      return;
-    }
-  }
-
-  // Re-runs the scalar reference (the generic update_row path evaluates
-  // s.point per cell — same expression tree, no FMA) over the interior span
-  // and compares: bit-exact without FMA, within the documented tolerance
-  // with it (docs/PERFORMANCE.md).
-  template <typename Acc>
-  void audit_span(const S& s, const Acc& acc, const T* out, long xa, long xb,
-                  const core::Step& step, long y) {
-    const int tid = parallel::current_tid();
-    const telemetry::ScopedPhase phase(tid, telemetry::Phase::kAudit);
-    for (long x = xa; x < xb; ++x) {
-      const T ref = s.point(acc, x);
-      if (integrity::audit_matches(out[x], ref, opts_.allow_fma)) continue;
-      integrity::SdcEvent e;
-      e.kind = integrity::SdcKind::kAudit;
-      e.pass = ictx_.pass;
-      e.instance = step.t;
-      e.z = step.z;
-      e.y = y;
-      e.tid = tid;
-      e.detail = "audit mismatch at x=" + std::to_string(x) + ": fast=" +
-                 std::to_string(static_cast<double>(out[x])) + " ref=" +
-                 std::to_string(static_cast<double>(ref));
-      ictx_.monitor->record(e);
-      telemetry::add_integrity_counts(tid, 0, 1, 0);
-      return;
-    }
-    ictx_.monitor->add_audited_rows(1);
-    telemetry::add_integrity_counts(tid, 1, 0, 0);
-  }
-
-  // CRC32C over the plane's written window: rows region(instance).y,
-  // columns region(instance).x — exactly what the schedule wrote there.
-  std::uint32_t plane_crc(const core::Tile& tile, int instance, int slot) {
-    const core::Rect& region = tile.region(instance);
-    std::uint32_t crc = 0;
-    for (long y = region.y.begin; y < region.y.end; ++y) {
-      const T* row = buffer_row(tile, instance, slot, y);
-      crc = crc32c(row + region.x.begin,
-                   static_cast<std::size_t>(region.x.size()) * sizeof(T), crc);
-    }
-    return crc;
-  }
-
-  void verify_retiring(const core::Tile& tile, int instance, int slot) {
-    const integrity::RingSentinels::Entry e = sentinels_.take(instance, slot);
-    if (e.valid) verify_entry(tile, instance, slot, e);
-  }
-
-  void verify_entry(const core::Tile& tile, int instance, int slot,
-                    const integrity::RingSentinels::Entry& e) {
-    ictx_.monitor->add_sentinel_checks(1);
-    const std::uint32_t crc = plane_crc(tile, instance, slot);
-    if (crc == e.crc) return;
-    integrity::SdcEvent ev;
-    ev.kind = integrity::SdcKind::kSentinel;
-    ev.pass = ictx_.pass;
-    ev.instance = instance;
-    ev.slot = slot;
-    ev.z = e.z;
-    ev.tid = 0;
-    ev.detail = "resident plane CRC mismatch (instance " + std::to_string(instance) +
-                ", slot " + std::to_string(slot) + ", z " + std::to_string(e.z) + ")";
-    ictx_.monitor->record(ev);
-    telemetry::add_integrity_counts(0, 0, 1, 0);
-  }
-
-  // Plane-flip injection: one bit of the plane loaded this round, flipped
-  // *after* its sentinel was recorded — the in-cache SDC the sentinels must
-  // catch when the plane retires.
-  void maybe_flip_plane(const core::Tile& tile, const std::vector<core::Step>& round,
-                        long m) {
-    for (const core::Step& step : round) {
-      if (step.kind != core::StepKind::kLoad) continue;
-      if (!ictx_.plan->plane_flip_fires(ictx_.pass, m)) return;
-      const core::Rect& region = tile.region(0);
-      T* row = buffer_row(tile, 0, step.dst_slot, region.y.begin);
-      flip_value_bit(&row[region.x.begin], ictx_.plan->flip_bit);
-      return;
-    }
+  // The scalar reference: s.point per cell, the same expression tree the
+  // generic update_row path evaluates, without FMA.
+  template <typename Ref>
+  void reference_row(const core::Tile& tile, const core::Step& step, long y, long a,
+                     long b, const Ref& ref) {
+    const S s = for_row(stencil_, y, step.z);
+    const RingAcc acc{this->src_rows(tile, step, y)};
+    T* out = ref(0);
+    for (long x = a; x < b; ++x) out[x] = s.point(acc, x);
   }
 
   S stencil_;
-  const grid::Grid3<T>* src_;
-  grid::Grid3<T>* dst_;
-  long pitch_;
-  long buf_ny_;
-  int ring_;
   bool streaming_;
   bool paired_rows_ = false;
-  core::KernelOptions opts_;
-  integrity::IntegrityContext ictx_;
-  integrity::RingSentinels sentinels_;
-  AlignedBuffer<T> buffer_;
 };
 
 }  // namespace s35::stencil

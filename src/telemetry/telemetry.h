@@ -66,8 +66,9 @@ struct Totals {
   // drops to zero has been de-optimized (see bench JSON "fastpath").
   std::uint64_t rows_fast = 0;
   std::uint64_t rows_generic = 0;
-  // Online-integrity counters (src/integrity). audited_rows counts row
-  // segments re-executed through the scalar reference; sdc_detected counts
+  // Online-integrity counters (src/integrity). audited_rows counts rows
+  // re-executed through the scalar reference, once each however the engine
+  // split them across threads (core/slab_kernel.h); sdc_detected counts
   // sentinel/guard/audit mismatches; watchdog_stalls counts threads flagged
   // past their phase deadline. All zero when integrity is off.
   std::uint64_t audited_rows = 0;

@@ -12,6 +12,7 @@
 
 #include "integrity/integrity.h"
 #include "integrity/watchdog.h"
+#include "lbm/distributed.h"
 #include "lbm/sweeps.h"
 #include "stencil/distributed.h"
 #include "stencil/sweeps.h"
@@ -663,6 +664,360 @@ TEST(IntegrityLbm, NanGuardLocalizesToPlantedPlane) {
   const integrity::SdcEvent e = mon.events().front();
   EXPECT_EQ(e.kind, integrity::SdcKind::kGuard);
   EXPECT_EQ(e.z, planted_z);
+}
+
+// ---- one integrity contract over both fields ----
+//
+// Both fields run on the one slab kernel (core/slab_kernel.h), so every
+// detection, attribution and recovery property is asserted for each.
+
+struct GridField {
+  static constexpr const char* kName = "grid";
+  using Array = grid::Grid3<float>;
+  using Pair = grid::GridPair<float>;
+  using Config = stencil::SweepConfig;
+  using Driver = stencil::DistributedStencilDriver<stencil::Stencil7<float>, float>;
+
+  static void init(Array& a) { a.fill_random(4242, -1.0f, 1.0f); }
+  static void plant(Array& a, long x, long y, long z, float v) { a.row(y, z)[x] = v; }
+  static void run(Pair& pair, int steps, const Config& cfg, core::Engine35& engine) {
+    run_sweep(Variant::kBlocked35D, stencil::default_stencil7<float>(), pair, steps, cfg,
+              engine);
+  }
+  static fault::Status run_verified(Pair& pair, int steps, const Config& cfg,
+                                    core::Engine35& engine) {
+    return run_sweep_verified(Variant::kBlocked35D, stencil::default_stencil7<float>(),
+                              pair, steps, cfg, engine);
+  }
+  static Driver driver(long n, int ranks, int dim_t) { return Driver(n, n, n, ranks, dim_t); }
+  static stencil::Stencil7<float> physics() { return stencil::default_stencil7<float>(); }
+  static long mismatches(const Array& a, const Array& b) {
+    return grid::count_mismatches(a, b);
+  }
+};
+
+struct LatticeField {
+  static constexpr const char* kName = "lattice";
+  using Array = lbm::Lattice<float>;
+  using Pair = lbm::LatticePair<float>;
+  using Config = lbm::SweepConfig;
+  using Driver = lbm::DistributedLbmDriver<float>;
+
+  // Lid-driven cavity: box walls plus a moving lid.
+  static lbm::Geometry geometry(long n) {
+    lbm::Geometry geom(n, n, n);
+    geom.set_box_walls();
+    geom.set_lid();
+    geom.finalize();
+    return geom;
+  }
+  static lbm::BgkParams<float> physics() {
+    lbm::BgkParams<float> prm;
+    prm.omega = 1.2f;
+    prm.u_wall[0] = 0.05f;
+    return prm;
+  }
+  static void init(Array& a) { perturb(a); }
+  static void plant(Array& a, long x, long y, long z, float v) { a.at(0, x, y, z) = v; }
+  static void run(Pair& pair, int steps, const Config& cfg, core::Engine35& engine) {
+    run_lbm(lbm::Variant::kBlocked35D, geometry(pair.src().nx()), physics(), pair, steps,
+            cfg, engine);
+  }
+  static fault::Status run_verified(Pair& pair, int steps, const Config& cfg,
+                                    core::Engine35& engine) {
+    return run_lbm_verified(lbm::Variant::kBlocked35D, geometry(pair.src().nx()),
+                            physics(), pair, steps, cfg, engine);
+  }
+  static Driver driver(long n, int ranks, int dim_t) {
+    return Driver(geometry(n), ranks, dim_t);
+  }
+  static long mismatches(const Array& a, const Array& b) {
+    return lattice_mismatches(a, b);
+  }
+};
+
+template <typename Field>
+class IntegrityContract : public ::testing::Test {
+ protected:
+  using Array = typename Field::Array;
+  using Pair = typename Field::Pair;
+  using Config = typename Field::Config;
+
+  static Config config(int dim_t, long dim_x) {
+    Config cfg;
+    cfg.dim_t = dim_t;
+    cfg.dim_x = dim_x;
+    return cfg;
+  }
+
+  static Pair fresh(long n) {
+    Pair pair(n, n, n);
+    Field::init(pair.src());
+    return pair;
+  }
+
+  // Fault-free, unaudited result of `steps` from the common initial state.
+  static Array reference(long n, int steps, Config cfg, core::Engine35& engine) {
+    Pair pair = fresh(n);
+    cfg.integrity = {};
+    Field::run(pair, steps, cfg, engine);
+    return pair.src();
+  }
+
+  // Arms every detector at full coverage.
+  static void arm_all(Config& cfg, integrity::IntegrityMonitor* mon) {
+    cfg.integrity.options.enabled = true;
+    cfg.integrity.options.audit_rate = 1.0;
+    cfg.integrity.options.sentinel_stride = 1;
+    cfg.integrity.options.guard_stride = 1;
+    cfg.integrity.monitor = mon;
+  }
+};
+
+using IntegrityFields = ::testing::Types<GridField, LatticeField>;
+TYPED_TEST_SUITE(IntegrityContract, IntegrityFields);
+
+TYPED_TEST(IntegrityContract, FaultFreeAuditSilentAndBitExactInEveryFamily) {
+  const long n = 18;
+  const int steps = 6;
+  core::Engine35 engine(2);
+  for (const core::ScheduleFamily family :
+       {core::ScheduleFamily::kPaper35D, core::ScheduleFamily::kDeep35D,
+        core::ScheduleFamily::kDiamond}) {
+    auto cfg = TestFixture::config(2, 10);
+    cfg.family = family;
+    const auto want = TestFixture::reference(n, steps, cfg, engine);
+    auto pair = TestFixture::fresh(n);
+    integrity::IntegrityMonitor mon;
+    TestFixture::arm_all(cfg, &mon);
+    const fault::Status st = TypeParam::run_verified(pair, steps, cfg, engine);
+    ASSERT_TRUE(st.ok()) << core::to_string(family) << ": " << st.to_string();
+    EXPECT_EQ(mon.sdc_detected(), 0u) << core::to_string(family);
+    EXPECT_EQ(mon.reexecs(), 0u) << core::to_string(family);
+    EXPECT_GT(mon.audited_rows(), 0u) << core::to_string(family);
+    EXPECT_GT(mon.sentinel_checks(), 0u) << core::to_string(family);
+    EXPECT_EQ(TypeParam::mismatches(want, pair.src()), 0) << core::to_string(family);
+  }
+}
+
+TYPED_TEST(IntegrityContract, AuditedRowsIndependentOfThreadCount) {
+  // The engine splits rows across threads; each audited row counts once.
+  const long n = 17;
+  for (const double rate : {1.0, 0.25}) {
+    std::uint64_t counts[3] = {0, 0, 0};
+    for (int threads = 1; threads <= 3; ++threads) {
+      core::Engine35 engine(threads);
+      auto cfg = TestFixture::config(2, 9);
+      auto pair = TestFixture::fresh(n);
+      integrity::IntegrityMonitor mon;
+      TestFixture::arm_all(cfg, &mon);
+      cfg.integrity.options.audit_rate = rate;
+      ASSERT_TRUE(TypeParam::run_verified(pair, 4, cfg, engine).ok());
+      EXPECT_EQ(mon.sdc_detected(), 0u);
+      counts[threads - 1] = mon.audited_rows();
+    }
+    EXPECT_GT(counts[0], 0u) << "rate=" << rate;
+    EXPECT_EQ(counts[1], counts[0]) << "rate=" << rate;
+    EXPECT_EQ(counts[2], counts[0]) << "rate=" << rate;
+  }
+}
+
+TYPED_TEST(IntegrityContract, DefaultRateAuditsAStrictSample) {
+  core::Engine35 engine(2);
+  std::uint64_t audited[2] = {0, 0};
+  int idx = 0;
+  for (const double rate : {1.0, integrity::kDefaultAuditRate}) {
+    auto cfg = TestFixture::config(2, 8);
+    auto pair = TestFixture::fresh(20);
+    integrity::IntegrityMonitor mon;
+    cfg.integrity.options.enabled = true;
+    cfg.integrity.options.audit_rate = rate;
+    cfg.integrity.monitor = &mon;
+    ASSERT_TRUE(TypeParam::run_verified(pair, 4, cfg, engine).ok());
+    EXPECT_EQ(mon.sdc_detected(), 0u);
+    audited[idx++] = mon.audited_rows();
+  }
+  // The sampled run audits some rows, but far fewer than rate 1.0.
+  EXPECT_GT(audited[1], 0u);
+  EXPECT_LT(audited[1] * 8, audited[0]);
+}
+
+TYPED_TEST(IntegrityContract, PlaneFlipRecoveredInSerializedMode) {
+  const long n = 16;
+  const int steps = 4;
+  core::Engine35 engine(2);
+  auto cfg = TestFixture::config(2, 8);
+  cfg.serialized = true;
+  const auto want = TestFixture::reference(n, steps, cfg, engine);
+
+  fault::FaultPlan plan(5);
+  plan.flip_pass = 1;
+  plan.flip_round = 3;
+  auto pair = TestFixture::fresh(n);
+  integrity::IntegrityMonitor mon;
+  cfg.integrity.options.enabled = true;
+  cfg.integrity.options.sentinel_stride = 1;
+  cfg.integrity.options.guard_stride = 1;
+  cfg.integrity.monitor = &mon;
+  cfg.integrity.plan = &plan;
+  ASSERT_TRUE(TypeParam::run_verified(pair, steps, cfg, engine).ok());
+  EXPECT_EQ(plan.counters().plane_flips, 1u);
+  ASSERT_GE(mon.sdc_detected(), 1u);
+  const integrity::SdcEvent e = mon.events().front();
+  EXPECT_EQ(e.kind, integrity::SdcKind::kSentinel);
+  EXPECT_EQ(e.pass, 1u);
+  EXPECT_EQ(mon.reexecs(), 1u);
+  EXPECT_EQ(TypeParam::mismatches(want, pair.src()), 0);
+}
+
+TYPED_TEST(IntegrityContract, StalledThreadAttributedWithoutPoisoning) {
+  const long n = 18;
+  const int steps = 4, nthreads = 3;
+  core::Engine35 engine(nthreads);
+  auto cfg = TestFixture::config(2, 8);
+  const auto want = TestFixture::reference(n, steps, cfg, engine);
+
+  fault::FaultPlan plan(3);
+  plan.stall_tid = 1;
+  plan.stall_pass = 0;
+  plan.stall_ms = 300;
+  auto pair = TestFixture::fresh(n);
+  integrity::IntegrityMonitor mon;
+  integrity::Watchdog dog;
+  cfg.integrity.options.enabled = true;
+  cfg.integrity.options.watchdog_ms = 50;
+  cfg.integrity.monitor = &mon;
+  cfg.integrity.watchdog = &dog;
+  cfg.integrity.plan = &plan;
+  dog.arm(nthreads, 50, &mon);
+  const fault::Status st = TypeParam::run_verified(pair, steps, cfg, engine);
+  dog.disarm();
+  ASSERT_TRUE(st.ok()) << st.to_string();
+
+  EXPECT_EQ(plan.counters().thread_stalls, 1u);
+  ASSERT_GE(mon.stalls(), 1u);
+  // tid 1 must be among the flagged threads, in a working phase (others
+  // may trip the deadline too under sanitizer slowdown).
+  bool attributed = false;
+  for (const integrity::SdcEvent& e : mon.events())
+    if (e.kind == integrity::SdcKind::kStall && e.tid == 1 &&
+        e.phase != telemetry::Phase::kBarrierWait)
+      attributed = true;
+  EXPECT_TRUE(attributed);
+  EXPECT_EQ(mon.sdc_detected(), 0u);
+  EXPECT_EQ(mon.reexecs(), 0u);
+  EXPECT_EQ(TypeParam::mismatches(want, pair.src()), 0);
+}
+
+TYPED_TEST(IntegrityContract, WatchdogHasNoFalsePositives) {
+  const int nthreads = 2;
+  core::Engine35 engine(nthreads);
+  auto cfg = TestFixture::config(2, 8);
+  auto pair = TestFixture::fresh(16);
+  integrity::IntegrityMonitor mon;
+  integrity::Watchdog dog;
+  cfg.integrity.options.enabled = true;
+  cfg.integrity.options.watchdog_ms = 2000;  // generous deadline
+  cfg.integrity.monitor = &mon;
+  cfg.integrity.watchdog = &dog;
+  dog.arm(nthreads, 2000, &mon);
+  ASSERT_TRUE(TypeParam::run_verified(pair, 6, cfg, engine).ok());
+  dog.disarm();
+  EXPECT_EQ(mon.stalls(), 0u);
+  EXPECT_EQ(mon.sdc_detected(), 0u);
+}
+
+TYPED_TEST(IntegrityContract, RangeGuardCatchesImplausibleValues) {
+  const long n = 14, planted_z = 6;
+  core::Engine35 engine(1);
+  auto cfg = TestFixture::config(2, 8);
+  auto pair = TestFixture::fresh(n);
+  TypeParam::plant(pair.src(), 3, 4, planted_z, 1e6f);  // finite, far outside
+  integrity::IntegrityMonitor mon;
+  cfg.integrity.options.enabled = true;
+  cfg.integrity.options.range_lo = -100.0;
+  cfg.integrity.options.range_hi = 100.0;
+  cfg.integrity.options.max_reexec = 0;
+  cfg.integrity.options.guard_stride = 1;  // exact plane attribution
+  cfg.integrity.monitor = &mon;
+  const fault::Status st = TypeParam::run_verified(pair, 2, cfg, engine);
+  EXPECT_EQ(st.code(), fault::ErrorCode::kSdcDetected);
+  ASSERT_GE(mon.sdc_detected(), 1u);
+  const integrity::SdcEvent e = mon.events().front();
+  EXPECT_EQ(e.kind, integrity::SdcKind::kGuard);
+  EXPECT_EQ(e.z, planted_z);
+  EXPECT_NE(e.detail.find("load"), std::string::npos) << e.detail;
+}
+
+TYPED_TEST(IntegrityContract, StickyFaultEscalatesToCheckpointRestoreBitExact) {
+  const long n = 24;
+  const int steps = 8, dim_t = 2, ranks = 2;
+  core::Engine35 engine(2);
+  const auto cfg = TestFixture::config(dim_t, 0);
+  typename TestFixture::Array initial(n, n, n);
+  TypeParam::init(initial);
+  typename TestFixture::Array want(n, n, n);
+  {
+    auto clean = TypeParam::driver(n, ranks, dim_t);
+    clean.scatter(initial);
+    ASSERT_TRUE(clean.run_guarded(TypeParam::physics(), steps, cfg, engine).ok());
+    clean.gather(want);
+  }
+
+  // A sticky wrong row re-fires on every in-memory replay of its pass, so
+  // the ladder must exhaust max_reexec and climb to the checkpoint rung.
+  const std::string path = tmp_path((std::string(TypeParam::kName) + "_sticky.ckpt").c_str());
+  fault::FaultPlan plan(31);
+  plan.wrong_row_pass = 1;
+  plan.wrong_row_z = 6;
+  plan.wrong_row_y = 5;
+  plan.wrong_row_sticky = true;
+  integrity::IntegrityMonitor mon;
+  integrity::IntegrityOptions opts;
+  opts.enabled = true;
+  opts.audit_rate = 1.0;
+  opts.max_reexec = 1;
+  auto driver = TypeParam::driver(n, ranks, dim_t);
+  driver.scatter(initial);
+  driver.set_fault_plan(&plan);
+  driver.set_integrity(opts, &mon);
+  driver.enable_checkpointing(path, 1);
+  const fault::Status st = driver.run_guarded(TypeParam::physics(), steps, cfg, engine);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+
+  EXPECT_GE(driver.stats().sdc_detected, 1u);
+  EXPECT_GE(driver.stats().sdc_reexecs, 1u);
+  EXPECT_GE(driver.stats().sdc_restores, 1u);
+  EXPECT_EQ(mon.checkpoint_restores(), driver.stats().sdc_restores);
+  typename TestFixture::Array got(n, n, n);
+  driver.gather(got);
+  EXPECT_EQ(TypeParam::mismatches(want, got), 0);
+  std::remove(path.c_str());
+}
+
+TYPED_TEST(IntegrityContract, StickyFaultWithoutCheckpointSurfacesSdcStatus) {
+  core::Engine35 engine(2);
+  auto cfg = TestFixture::config(2, 8);
+  fault::FaultPlan plan(8);
+  plan.wrong_row_pass = 0;
+  plan.wrong_row_z = 7;
+  plan.wrong_row_y = 6;
+  plan.wrong_row_sticky = true;
+  auto pair = TestFixture::fresh(16);
+  integrity::IntegrityMonitor mon;
+  cfg.integrity.options.enabled = true;
+  cfg.integrity.options.audit_rate = 1.0;
+  cfg.integrity.options.max_reexec = 1;
+  cfg.integrity.monitor = &mon;
+  cfg.integrity.plan = &plan;
+  const fault::Status st = TypeParam::run_verified(pair, 4, cfg, engine);
+  EXPECT_EQ(st.code(), fault::ErrorCode::kSdcDetected);
+  EXPECT_EQ(mon.reexecs(), 1u);  // budget spent before giving up
+  ASSERT_GE(mon.sdc_detected(), 1u);
+  const integrity::SdcEvent e = mon.events().front();
+  EXPECT_EQ(e.kind, integrity::SdcKind::kAudit);
+  EXPECT_EQ(e.z, 7);
+  EXPECT_EQ(e.y, 6);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "core/engine.h"
 #include "grid/checkpoint.h"
 #include "grid/grid3.h"
+#include "integrity/integrity.h"
 #include "machine/descriptor.h"
 #include "machine/kernel_sig.h"
 #include "service/job.h"
@@ -510,6 +511,48 @@ TEST(ServiceTest, AuditJobCountsRowsAndStaysBitExact) {
   EXPECT_EQ(db->result.reexecs, 0u);
   EXPECT_EQ(da->result.crc, db->result.crc);  // audits never change results
   EXPECT_EQ(da->result.audited_rows, 0u);
+}
+
+// The service runs an audited job one pass per verified call; the pass
+// ordinal must still advance so the rotating samplers pick the same rows
+// as one in-process call over every step.
+TEST(ServiceTest, AuditedJobSamplesLikeOneInProcessRun) {
+  const int threads = 2;
+  JobSpec spec;
+  spec.nx = 40;
+  spec.steps = 8;
+  spec.dim_x = 16;
+  spec.dim_y = 16;
+  spec.dim_t = 2;
+  spec.seed = 5;
+  spec.audit = true;
+  spec.audit_rate = 0.25;
+
+  core::Engine35 engine(threads);
+  grid::GridPair<float> pair(spec.nx, spec.eff_ny(), spec.eff_nz());
+  pair.src().fill_random(spec.seed, -1.0f, 1.0f);
+  stencil::freeze_boundary(pair.src(), pair.dst(), 1);
+  integrity::IntegrityMonitor mon;
+  stencil::SweepConfig cfg;
+  cfg.dim_x = spec.dim_x;
+  cfg.dim_y = spec.dim_y;
+  cfg.dim_t = spec.dim_t;
+  cfg.integrity.options.enabled = true;
+  cfg.integrity.options.audit_rate = spec.audit_rate;
+  cfg.integrity.monitor = &mon;
+  ASSERT_TRUE(run_sweep_verified_auto(stencil::Variant::kBlocked35D,
+                                      stencil::default_stencil7<float>(), pair,
+                                      spec.steps, cfg, engine)
+                  .ok());
+
+  JobService svc(test_options(threads));
+  const auto id = svc.submit(spec);
+  ASSERT_TRUE(id.ok());
+  const auto done = svc.wait(id.value());
+  ASSERT_TRUE(done && done->state == JobState::kDone) << done->result.message;
+  EXPECT_GT(mon.audited_rows(), 0u);
+  EXPECT_EQ(done->result.audited_rows, mon.audited_rows());
+  EXPECT_EQ(done->result.crc, grid_crc(pair.src()));
 }
 
 // ----------------------------------------------------- checkpoint / resume
