@@ -4,8 +4,8 @@
 // percentiles for each:
 //
 //   cold  — every job pays the one-shot `s35 run` path: spawn a thread
-//           team, resolve the blocking plan from scratch (empirical
-//           autotune over simulated traffic), allocate and first-touch
+//           team, resolve the blocking plan from scratch (the
+//           analytic planner), allocate and first-touch
 //           fresh grids, sweep.
 //   warm  — every job goes through one resident JobService: the plan
 //           comes out of the plan cache, the team never respawns, and the

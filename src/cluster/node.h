@@ -20,8 +20,8 @@
 //
 // Plan replication: the service's plan_fetch hook turns a local cache miss
 // into a kPlanPull to the router (bounded wait — an absent or slow router
-// degrades to a local re-tune, never a stall), and plan_publish ships each
-// locally tuned plan back as kPlanPush ver=0 for router-side stamping and
+// degrades to a local re-plan, never a stall), and plan_publish ships each
+// locally computed plan back as kPlanPush ver=0 for router-side stamping and
 // broadcast.
 //
 // Shutdown (stop flag) is typed, not abrupt: every live connection — and

@@ -27,56 +27,6 @@ std::vector<TuneCandidate> make_candidates(long min_dim, long max_dim, int max_d
   return out;
 }
 
-std::vector<TuneCandidate> make_family_candidates(long min_dim, long max_dim,
-                                                  int max_dim_t, int deep_max_dim_t,
-                                                  int radius, long nx, long ny) {
-  S35_CHECK(deep_max_dim_t >= max_dim_t && nx > 0 && ny > 0);
-  std::vector<TuneCandidate> out = make_candidates(min_dim, max_dim, max_dim_t, radius);
-
-  std::vector<long> dims;
-  for (long d = min_dim; d <= max_dim; d *= 2) {
-    dims.push_back(d);
-    const long mid = d + d / 2;
-    if (mid <= max_dim) dims.push_back(mid);
-  }
-
-  // Deep-3.5D: re-cover the paper cap (the pair fast path alone can win at
-  // the same depth) and push past it.
-  for (int t = max_dim_t; t <= deep_max_dim_t; ++t) {
-    for (long d : dims) {
-      if (d <= 2L * radius * t) continue;
-      out.push_back({d, d, t, ScheduleFamily::kDeep35D});
-    }
-  }
-
-  // Diamond: whole-plane XY; width is the one free knob per depth.
-  for (int t = 1; t <= deep_max_dim_t; ++t) {
-    const long w = TemporalSchedule::min_diamond_width(radius, t);
-    out.push_back({nx, ny, t, ScheduleFamily::kDiamond, 0});
-    out.push_back({nx, ny, t, ScheduleFamily::kDiamond, 2 * w});
-  }
-  return out;
-}
-
-std::vector<TuneCandidate> prune_candidates(
-    const std::vector<TuneCandidate>& candidates,
-    const std::function<double(const TuneCandidate&)>& predicted_cost, double slack) {
-  S35_CHECK(slack >= 1.0);
-  std::vector<double> costs(candidates.size());
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    costs[i] = predicted_cost(candidates[i]);
-    if (std::isfinite(costs[i]) && costs[i] < best) best = costs[i];
-  }
-  std::vector<TuneCandidate> out;
-  if (!std::isfinite(best)) return out;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (std::isfinite(costs[i]) && costs[i] <= best * slack)
-      out.push_back(candidates[i]);
-  }
-  return out;
-}
-
 TuneResult autotune(const std::vector<TuneCandidate>& candidates,
                     const std::function<double(const TuneCandidate&)>& cost) {
   S35_CHECK(!candidates.empty());

@@ -17,7 +17,6 @@
 #include <functional>
 #include <vector>
 
-#include "core/schedule.h"
 #include "machine/descriptor.h"
 #include "machine/kernel_sig.h"
 
@@ -27,10 +26,6 @@ struct TuneCandidate {
   long dim_x = 0;
   long dim_y = 0;
   int dim_t = 1;
-  // Schedule family of this candidate; the diamond family uses dim_z as
-  // the mountain width W (0 = minimal 2R·dim_t+1).
-  ScheduleFamily family = ScheduleFamily::kPaper35D;
-  long dim_z = 0;
 };
 
 struct TuneResult {
@@ -48,26 +43,6 @@ struct TuneResult {
 // dim_t in [1, max_dim_t]. Square tiles only (the paper's choice; eq. 4).
 std::vector<TuneCandidate> make_candidates(long min_dim, long max_dim, int max_dim_t,
                                            int radius);
-
-// Family-aware candidate generator: the paper-family grid above, plus
-//  - deep-3.5D candidates at the same spatial dims with dim_t pushed from
-//    max_dim_t up to deep_max_dim_t (register row-pair fusion makes depth
-//    past eq. 3 pay), and
-//  - whole-plane diamond candidates (dim_x = nx, dim_y = ny) per depth, at
-//    the minimal mountain width and at twice it.
-// Feed the result through prune_candidates with a memsim/analytic traffic
-// prediction before an empirical wall-clock sweep.
-std::vector<TuneCandidate> make_family_candidates(long min_dim, long max_dim,
-                                                  int max_dim_t, int deep_max_dim_t,
-                                                  int radius, long nx, long ny);
-
-// Cheap pre-filter for empirical tuning: evaluates `predicted_cost` (e.g.
-// memsim bytes/update, lower = better; non-finite = infeasible, dropped)
-// and keeps candidates within `slack` (>= 1, e.g. 1.5 = within 50%) of the
-// best prediction. Returns the survivors in the original order.
-std::vector<TuneCandidate> prune_candidates(
-    const std::vector<TuneCandidate>& candidates,
-    const std::function<double(const TuneCandidate&)>& predicted_cost, double slack);
 
 // Evaluates `cost` (lower = better) for each candidate and returns the
 // best plus the full sample list. Candidates whose cost function returns

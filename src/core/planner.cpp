@@ -135,15 +135,20 @@ double predicted_bytes_per_update(ScheduleFamily family, double bytes_ideal,
 BlockPlan plan_family(const machine::Descriptor& mach, const machine::KernelSig& kernel,
                       machine::Precision precision, ScheduleFamily family,
                       const PlanOptions& options) {
+  const double gk = kernel.gamma(precision);
+  const double gm = mach.bytes_per_op(precision, options.use_effective_peak);
+  int t_min = options.force_dim_t > 0 ? options.force_dim_t : min_dim_t(gk, gm);
+  // max_dim_t is a hard bound: a cap below the eq. 3 minimum wins.
+  if (options.force_dim_t <= 0 && options.max_dim_t > 0)
+    t_min = std::min(t_min, options.max_dim_t);
+
   if (family == ScheduleFamily::kPaper35D) {
-    BlockPlan p = plan(mach, kernel, precision, options);
+    PlanOptions at_min = options;
+    at_min.force_dim_t = t_min;
+    BlockPlan p = plan(mach, kernel, precision, at_min);
     p.family = family;
     return p;
   }
-
-  const double gk = kernel.gamma(precision);
-  const double gm = mach.bytes_per_op(precision, options.use_effective_peak);
-  const int t_min = options.force_dim_t > 0 ? options.force_dim_t : min_dim_t(gk, gm);
 
   if (family == ScheduleFamily::kDeep35D) {
     // Deep temporal blocking: walk dim_t past the eq. 3 sweet spot. Each
@@ -160,13 +165,10 @@ BlockPlan plan_family(const machine::Descriptor& mach, const machine::KernelSig&
       o.force_dim_t = t;
       BlockPlan p = plan(mach, kernel, precision, o);
       p.family = family;
-      if (!p.feasible) break;  // deeper blocks only shrink the tile further
+      if (!p.feasible) return t == t_min ? p : best;  // deeper only shrinks the tile
       if (!best.feasible || p.predicted_mups > best.predicted_mups) best = p;
     }
-    if (best.feasible) return best;
-    BlockPlan p = plan(mach, kernel, precision, options);
-    p.family = family;
-    return p;
+    return best;
   }
 
   // Diamond: whole-plane XY, kappa = 1, no recompute. Traffic bytes/dim_t
@@ -183,21 +185,13 @@ BlockPlan plan_family(const machine::Descriptor& mach, const machine::KernelSig&
   p.gamma_kernel = gk;
   p.gamma_machine = gm;
   const double bytes_ideal = kernel.bytes(precision);
-  double best_mups = 0.0;
-  for (int t = t_min; t <= t_cap; ++t) {
-    const double m = roofline_mups(mach, precision, options.use_effective_peak,
-                                   bytes_ideal / t, kernel.ops());
-    if (m > best_mups) best_mups = m;
-  }
-  p.dim_t = t_cap;
-  for (int t = t_min; t <= t_cap; ++t) {
-    const double m = roofline_mups(mach, precision, options.use_effective_peak,
-                                   bytes_ideal / t, kernel.ops());
-    if (m >= 0.98 * best_mups) {
-      p.dim_t = t;
-      break;
-    }
-  }
+  const auto mups_at = [&](int t) {
+    return roofline_mups(mach, precision, options.use_effective_peak, bytes_ideal / t,
+                         kernel.ops());
+  };
+  const double best_mups = mups_at(t_cap);  // the roofline never drops with depth
+  p.dim_t = t_min;
+  while (mups_at(p.dim_t) < 0.98 * best_mups) ++p.dim_t;
   p.dim_x = p.dim_y = 0;  // whole plane
   p.dim_z = TemporalSchedule::min_diamond_width(p.radius, p.dim_t);
   const long ring = options.nz > 0 ? std::min(2 * p.dim_z, options.nz) : 2 * p.dim_z;

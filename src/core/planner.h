@@ -54,13 +54,14 @@ struct PlanOptions {
   // Use the machine's stencil-effective compute peak instead of the
   // datasheet peak when computing Γ (the paper does this for 7-pt on GPU).
   bool use_effective_peak = false;
-  // Upper bound on dim_t (0 = planner's minimum from eq. 3).
+  // Fixed dim_t, overriding eq. 3 and max_dim_t (0 = not forced).
   int force_dim_t = 0;
   // Grid depth, for families whose ring scales with the schedule (the
   // diamond ring is min(2W, nz)). 0 = unknown, assume deep grids.
   long nz = 0;
-  // Cap for the per-family dim_t search in plan_family (deep/diamond);
-  // 0 = a family default derived from the eq. 3 minimum.
+  // Hard upper bound on dim_t in plan_family, for every family: it caps
+  // the deep/diamond search and clamps the eq. 3 minimum itself. 0 = no
+  // bound (deep/diamond search up to a default derived from eq. 3).
   int max_dim_t = 0;
 };
 
@@ -98,8 +99,8 @@ BlockPlan plan(const machine::Descriptor& mach, const machine::KernelSig& kernel
 double predicted_bytes_per_update(ScheduleFamily family, double bytes_ideal,
                                   int radius, int dim_t, long dim_x, long dim_y);
 
-// Family-aware planning. kPaper35D delegates to plan() (dim_t from eq. 3 —
-// unchanged semantics, still the default). kDeep35D searches dim_t from the
+// Family-aware planning. kPaper35D delegates to plan() (dim_t from eq. 3,
+// capped at options.max_dim_t when set). kDeep35D searches dim_t from the
 // eq. 3 minimum up to options.max_dim_t (default: well past eq. 3),
 // shrinking the tile per eq. 4 as it deepens, and keeps the roofline-best
 // depth — deep pays larger kappa for proportionally less external traffic.

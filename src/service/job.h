@@ -25,7 +25,7 @@ struct JobSpec {
   long nz = 0;  // 0 = nx
   int steps = 8;
 
-  // Blocking-plan override: 0 = resolve through the plan cache (autotuner /
+  // Blocking-plan override: 0 = resolve through the plan cache (analytic
   // planner). Explicit values bypass planning entirely.
   long dim_x = 0;
   long dim_y = 0;

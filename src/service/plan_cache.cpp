@@ -1,14 +1,10 @@
 #include "service/plan_cache.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "common/crc32c.h"
-#include "core/autotuner.h"
 #include "core/planner.h"
-#include "memsim/traffic.h"
 
 #ifdef __unix__
 #include <fcntl.h>
@@ -83,113 +79,28 @@ CachedPlan compute_plan(const machine::Descriptor& mach, const machine::KernelSi
                         long nx, long ny, long nz, int max_dim_t, int schedule_pref) {
   CachedPlan out;
   const int radius = sig.radius;
-  const std::size_t elem = sig.elem_bytes_sp;
-  const std::size_t budget = mach.blocking_capacity_bytes;
 
-  // Empirical search (Datta-style, core::autotuner): candidates from every
-  // schedule family (or just the pinned one) are pre-pruned by the analytic
-  // per-family traffic model, then scored by simulated external traffic of
-  // the blocked sweep against this machine's blocking capacity —
-  // deterministic, so cold and warm runs of the same key always agree.
-  memsim::TraceConfig base;
-  base.nx = nx;
-  base.ny = ny;
-  base.nz = nz;
-  base.steps = std::max(2, 2 * max_dim_t);
-  base.elem_bytes = elem;
-  base.radius = radius;
-  base.cube_neighborhood = sig.name.find("27") != std::string::npos;
-  // The cache model wants a power-of-two set count; round the simulated
-  // capacity down to the nearest legal size (the eq. 1 budget below still
-  // uses the true capacity).
-  const std::uint64_t line_ways =
-      static_cast<std::uint64_t>(base.cache.line_bytes) * base.cache.ways;
-  std::uint64_t sets = line_ways > 0 ? budget / line_ways : 0;
-  if (sets >= 1) {
-    while ((sets & (sets - 1)) != 0) sets &= sets - 1;
-    base.cache.size_bytes = sets * line_ways;
-  }
-
-  const long max_dim = std::min(nx, ny);
-  // Eq. 1 capacity constraint, per family: the ring buffers of all dim_t
-  // instances must fit the blocking budget — (2R+2) planes per time level
-  // for the wavefront families, min(2W, nz) per level for diamond.
-  const auto feasible = [&](const core::TuneCandidate& c) {
-    if (schedule_pref >= 0 &&
-        c.family != static_cast<core::ScheduleFamily>(schedule_pref))
-      return false;
-    long ring = 2L * radius + 2;
-    if (c.family == core::ScheduleFamily::kDiamond) {
-      if (nz <= 2L * radius) return false;  // no interior planes to compute
-      const long w = std::max(
-          c.dim_z, core::TemporalSchedule::min_diamond_width(radius, c.dim_t));
-      ring = std::min(2 * w, nz);
-    }
-    const double buffer =
-        static_cast<double>(elem) * static_cast<double>(ring) * c.dim_t * c.dim_x *
-        c.dim_y;
-    return budget == 0 || buffer <= static_cast<double>(budget);
-  };
-  const auto cost = [&](const core::TuneCandidate& c) {
-    if (!feasible(c)) return std::numeric_limits<double>::infinity();
-    auto cfg = base;
-    cfg.dim_x = c.dim_x;
-    cfg.dim_y = c.dim_y;
-    cfg.dim_t = c.dim_t;
-    cfg.family = c.family;
-    cfg.dim_z = c.dim_z;
-    return memsim::trace_stencil(memsim::Scheme::kBlocked35D, cfg).bytes_per_update();
-  };
-
-  if (max_dim >= 16) {
-    const int deep_max_dim_t = std::max(2 * max_dim_t, max_dim_t + 2);
-    auto candidates = core::make_family_candidates(16, max_dim, max_dim_t,
-                                                   deep_max_dim_t, radius, nx, ny);
-    // Analytic pre-prune: the per-family traffic model is orders of
-    // magnitude cheaper than a memsim replay; a generous slack keeps every
-    // plausibly-winning candidate alive for the empirical pass. Pruning on
-    // the same feasibility predicate also guarantees the survivors all
-    // score finite, so autotune below cannot come up empty.
-    const double bytes_ideal = 2.0 * static_cast<double>(elem);
-    candidates = core::prune_candidates(
-        candidates,
-        [&](const core::TuneCandidate& c) {
-          if (!feasible(c)) return std::numeric_limits<double>::infinity();
-          return core::predicted_bytes_per_update(c.family, bytes_ideal, radius,
-                                                  c.dim_t, c.dim_x, c.dim_y);
-        },
-        3.0);
-    if (!candidates.empty()) {
-      const auto result = core::autotune(candidates, cost);
-      if (result.best.dim_x > 0 && std::isfinite(result.best_cost)) {
-        out.dim_x = result.best.dim_x;
-        out.dim_y = result.best.dim_y;
-        out.dim_t = result.best.dim_t;
-        out.family = result.best.family;
-        out.dim_z = result.best.dim_z;
-        out.cost = result.best_cost;
-        out.source = PlanSource::kAutotuner;
-        return out;
-      }
-    }
-  }
-
-  // Analytic fallback (eqs. 1-4, per family): small grids where the
-  // candidate generator has nothing feasible, or a zero-capacity
-  // descriptor.
+  // Analytic plan (eqs. 1-4, per family): dim_t from eq. 3 capped at
+  // max_dim_t, the eq. 4 tile clamped to the grid.
   const core::ScheduleFamily fam =
       schedule_pref >= 0 ? static_cast<core::ScheduleFamily>(schedule_pref)
-                         : core::ScheduleFamily::kPaper35D;
+                         : core::ScheduleFamily::kDeep35D;
   core::PlanOptions popt;
   popt.nz = nz;
   popt.max_dim_t = max_dim_t;
   const auto plan = core::plan_family(mach, sig, machine::Precision::kSingle, fam, popt);
-  if (plan.feasible && (plan.dim_x <= 0 || plan.dim_x <= max_dim)) {
-    out.dim_x = plan.dim_x > 0 ? plan.dim_x : nx;
-    out.dim_y = plan.dim_y > 0 ? std::min(plan.dim_y, ny) : ny;
+  const long dim_x = plan.dim_x > 0 ? std::min(plan.dim_x, nx) : nx;  // 0 = whole plane
+  const long dim_y = plan.dim_y > 0 ? std::min(plan.dim_y, ny) : ny;
+  if (plan.feasible &&
+      (plan.dim_x <= 0 || std::min(dim_x, dim_y) > 2L * radius * plan.dim_t)) {
+    out.dim_x = dim_x;
+    out.dim_y = dim_y;
     out.dim_t = plan.dim_t;
     out.family = plan.family;
     out.dim_z = plan.dim_z;
+    out.cost = core::predicted_bytes_per_update(plan.family,
+                                                sig.bytes(machine::Precision::kSingle),
+                                                radius, plan.dim_t, dim_x, dim_y);
     out.source = PlanSource::kPlanner;
     return out;
   }
@@ -198,6 +109,7 @@ CachedPlan compute_plan(const machine::Descriptor& mach, const machine::KernelSi
   // (dim > 2R·dim_t keeps a non-empty output region).
   out.dim_x = nx;
   out.dim_y = ny;
+  const long max_dim = std::min(nx, ny);
   out.dim_t = std::max(1, std::min<int>(max_dim_t,
                                         static_cast<int>((max_dim - 1) / (2 * radius))));
   out.source = PlanSource::kFallback;
@@ -282,7 +194,10 @@ constexpr char kMagic[8] = {'S', '3', '5', 'P', 'L', 'N', 'C', '1'};
 // v2: DiskEntry grew schedule_pref (key) and family/dim_z (plan) for the
 // schedule-family planner. v1 files have a different entry layout, so they
 // are rejected with kBadHeader and the cache starts cold — never decoded.
-constexpr std::uint32_t kVersion = 2;
+// v3: same layout, but plans come from the analytic planner with max_dim_t
+// as a hard cap; v2 entries (empirical search, dim_t past the cap) are
+// rejected the same way rather than served.
+constexpr std::uint32_t kVersion = 3;
 
 struct FileHeader {
   char magic[8];

@@ -1,19 +1,18 @@
 // Plan cache: memoized blocking-parameter selection for repeat workloads.
 //
-// Resolving a job's blocking plan is the expensive part of a cold start:
-// the Datta-style empirical search (core::autotuner) replays a cache
-// simulation of the whole sweep per candidate (bench/autotune_vs_planner),
-// which easily dwarfs a small job's execution time. But the answer depends
-// only on (kernel signature, grid dims, machine) — so the service memoizes
-// it behind a stable key, with LRU eviction and optional on-disk
-// persistence: a restarted service skips tuning entirely for every
-// workload it has seen before.
+// A job's blocking plan comes from the analytic planner (eqs. 1-4 through
+// core::plan_family), which derives dim_t and the tile instead of searching
+// for them; it costs microseconds, but the answer depends only on (kernel
+// signature, grid dims, machine), so the service still memoizes it behind a
+// stable key, with LRU eviction and optional on-disk persistence. The key
+// is what the cluster plane replicates, and a restarted service serves
+// every workload it has seen before with the plan it used then.
 //
 // The on-disk format follows the checkpoint hardening pattern (format
 // header + CRC32C over header and payload, write-to-temp + fsync + atomic
 // rename through fault::IoBackend): corrupt, truncated or foreign files are
 // rejected with a typed Status and the cache simply starts cold — a bad
-// cache file can cost a re-tune, never a wrong plan.
+// cache file can cost a re-plan, never a wrong plan.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +33,7 @@
 namespace s35::service {
 
 // Stable identity of a planning problem. Machine identity is reduced to
-// the fields the tuner actually consumes (name, blocking capacity, cores)
+// the fields the planner actually consumes (name, blocking capacity, cores)
 // so re-measured bandwidth does not fork the key; the name is clamped to
 // the on-disk field width so in-memory and reloaded keys always agree.
 struct PlanKey {
@@ -46,9 +45,9 @@ struct PlanKey {
   std::string machine;  // Descriptor::name, clamped
   std::uint64_t capacity_bytes = 0;
   int cores = 0;
-  // Requested schedule family: -1 = auto (search every family), else a
-  // core::ScheduleFamily value the search is narrowed to. Part of the key:
-  // a pinned-family request must not be served by an auto-tuned plan of a
+  // Requested schedule family: -1 = auto (the planner's default family),
+  // else a core::ScheduleFamily value the plan is pinned to. Part of the
+  // key: a pinned-family request must not be served by an auto plan of a
   // different family (and vice versa).
   int schedule_pref = -1;
 
@@ -69,8 +68,8 @@ struct PlanKey {
 };
 
 enum class PlanSource : std::uint32_t {
-  kAutotuner = 0,  // empirical search over simulated external traffic
-  kPlanner = 1,    // analytic eqs. 1-4 fallback
+  kAutotuner = 0,  // empirical search; no longer produced, value kept stable
+  kPlanner = 1,    // analytic eqs. 1-4 (core::plan_family)
   kFallback = 2,   // fixed safe dims (degenerate grids)
 };
 
@@ -80,21 +79,20 @@ struct CachedPlan {
   long dim_x = 0;
   long dim_y = 0;
   int dim_t = 1;
-  // Winning schedule family; the diamond family reuses dim_z as the
+  // Planned schedule family; the diamond family reuses dim_z as the
   // mountain width W (0 = minimal 2R·dim_t+1).
   core::ScheduleFamily family = core::ScheduleFamily::kPaper35D;
   long dim_z = 0;
-  double cost = 0.0;  // tuner objective (bytes/update); 0 when analytic
-  PlanSource source = PlanSource::kAutotuner;
+  double cost = 0.0;  // model bytes/update for the served tile; 0 = fallback
+  PlanSource source = PlanSource::kPlanner;
   std::uint64_t hits = 0;  // lookups served by this entry (persisted)
 };
 
-// Computes a plan from scratch: empirical autotune over simulated external
-// traffic across schedule families (the memoized expensive path; the
-// candidate list is pre-pruned by the analytic per-family traffic model),
-// falling back to the analytic planner and finally to fixed safe dims when
-// the search space is empty. `schedule_pref` narrows the search to one
-// family (-1 = all families).
+// Computes a plan from scratch with one core::plan_family call: the pinned
+// family (`schedule_pref`; -1 = kDeep35D, the paper tile plus row-pair
+// fusion), dim_t at most `max_dim_t`, the tile clamped to the grid. When
+// the clamped tile has no output region left (or the grid is degenerate),
+// falls back to one whole-plane tile with dim_t clamped feasible.
 CachedPlan compute_plan(const machine::Descriptor& mach, const machine::KernelSig& sig,
                         long nx, long ny, long nz, int max_dim_t,
                         int schedule_pref = -1);

@@ -136,7 +136,7 @@ JobService::JobService(ServiceOptions options)
   if (opts_.max_dim_t < 1) opts_.max_dim_t = 1;
   engine_ = std::make_unique<core::Engine35>(opts_.threads);
   if (!opts_.plan_cache_path.empty()) {
-    // A missing or damaged cache file only costs a re-tune; never fatal.
+    // A missing or damaged cache file only costs a re-plan; never fatal.
     const fault::Status st = plan_cache_.load(opts_.plan_cache_path);
     if (!st.ok() && st.code() != fault::ErrorCode::kIoError)
       std::fprintf(stderr, "s35-serve: ignoring plan cache: %s\n",
@@ -240,8 +240,8 @@ fault::Status JobService::run_job(const JobLedger::Started& job, JobResult& out)
   const long nx = spec.nx, ny = spec.eff_ny(), nz = spec.eff_nz();
 
   // Resolve the blocking plan: explicit spec dims bypass planning entirely,
-  // otherwise the plan cache fronts the family-aware autotuner. A pinned
-  // schedule narrows the search (and the cache key) to that family.
+  // otherwise the plan cache fronts the analytic planner (compute_plan). A
+  // pinned schedule fixes the family (and the cache key).
   Timer plan_timer;
   core::ScheduleFamily family = core::ScheduleFamily::kPaper35D;
   int schedule_pref = -1;
@@ -253,36 +253,25 @@ fault::Status JobService::run_job(const JobLedger::Started& job, JobResult& out)
     const int max_dim_t = spec.dim_t > 0 ? spec.dim_t : opts_.max_dim_t;
     const PlanKey key =
         PlanKey::make(opts_.mach, sig, nx, ny, nz, max_dim_t, schedule_pref);
-    if (const auto hit = plan_cache_.lookup(key)) {
-      dim_x = hit->dim_x;
-      dim_y = hit->dim_y;
-      dim_z = hit->dim_z;
-      dim_t = hit->dim_t;
-      if (schedule_pref < 0) family = hit->family;
-      out.plan_cache_hit = true;
-    } else if (const auto fetched =
-                   opts_.plan_fetch ? opts_.plan_fetch(key) : std::nullopt) {
-      // Replicated plan (cluster plane): another node already paid for the
-      // tune. Adopt it locally and count the remote hit as a hit — the
+    std::optional<CachedPlan> plan = plan_cache_.lookup(key);
+    if (!plan && opts_.plan_fetch) {
+      // Replicated plan (cluster plane): another node already computed
+      // it. Adopt it locally and count the remote hit as a hit — the
       // whole point of replication is that this job skips compute_plan.
-      plan_cache_.insert(key, *fetched);
-      dim_x = fetched->dim_x;
-      dim_y = fetched->dim_y;
-      dim_z = fetched->dim_z;
-      dim_t = fetched->dim_t;
-      if (schedule_pref < 0) family = fetched->family;
-      out.plan_cache_hit = true;
-    } else {
-      const CachedPlan fresh =
-          compute_plan(opts_.mach, sig, nx, ny, nz, max_dim_t, schedule_pref);
-      plan_cache_.insert(key, fresh);
-      if (opts_.plan_publish) opts_.plan_publish(key, fresh);
-      dim_x = fresh.dim_x;
-      dim_y = fresh.dim_y;
-      dim_z = fresh.dim_z;
-      dim_t = fresh.dim_t;
-      if (schedule_pref < 0) family = fresh.family;
+      plan = opts_.plan_fetch(key);
+      if (plan) plan_cache_.insert(key, *plan);
     }
+    out.plan_cache_hit = plan.has_value();
+    if (!plan) {
+      plan = compute_plan(opts_.mach, sig, nx, ny, nz, max_dim_t, schedule_pref);
+      plan_cache_.insert(key, *plan);
+      if (opts_.plan_publish) opts_.plan_publish(key, *plan);
+    }
+    dim_x = plan->dim_x;
+    dim_y = plan->dim_y;
+    dim_z = plan->dim_z;
+    dim_t = plan->dim_t;
+    if (schedule_pref < 0) family = plan->family;
   }
   if (dim_t < 1) dim_t = 1;
   dim_x = std::min(dim_x, nx);

@@ -7,7 +7,7 @@
 //
 //   * a bounded priority queue (queue.h) provides admission control,
 //     backpressure, per-job deadlines and cancellation;
-//   * a plan cache (plan_cache.h) memoizes autotuner/planner output, with
+//   * a plan cache (plan_cache.h) memoizes planner output, with
 //     optional on-disk persistence across restarts;
 //   * one warm core::Engine35 (its parallel::ThreadTeam never respawns) runs
 //     every job; jobs of equal shape are batched back-to-back so the grid
@@ -72,9 +72,9 @@ struct ServiceOptions {
 
   // Cluster plan replication (cluster/node.h). On a local plan-cache miss,
   // plan_fetch may produce the plan from elsewhere (the shard router's
-  // authoritative cache) — it is tried before the expensive compute_plan
+  // authoritative cache) — it is tried before compute_plan
   // and its result is inserted locally and counted as a cache hit. After a
-  // local tune, plan_publish ships the fresh plan out (router stamping +
+  // local plan, plan_publish ships the fresh plan out (router stamping +
   // broadcast). Both default-unset: the standalone service plans exactly as
   // before.
   std::function<std::optional<CachedPlan>(const PlanKey& key)> plan_fetch;

@@ -129,6 +129,28 @@ TEST(Planner, ForcedDimT) {
   EXPECT_LT(p.dim_x, 360);  // larger dim_t shrinks the tiles
 }
 
+// PlanOptions::max_dim_t bounds dim_t in every family, also when it is
+// below the eq. 3 minimum; unset, plan_family keeps the eq. 3 answer.
+TEST(Planner, FamilyPlansHonorMaxDimT) {
+  machine::Descriptor slow = machine::core_i7();
+  slow.peak_bw_gbps /= 4.0;  // eq. 3: ceil(0.5 / 0.0735) = 7
+  const auto sig = machine::seven_point();
+  const auto eq3 = plan(slow, sig, Precision::kSingle);
+  ASSERT_EQ(eq3.dim_t, 7);
+  for (const auto fam :
+       {ScheduleFamily::kPaper35D, ScheduleFamily::kDeep35D, ScheduleFamily::kDiamond}) {
+    const auto capped =
+        plan_family(slow, sig, Precision::kSingle, fam, {.max_dim_t = 2});
+    EXPECT_TRUE(capped.feasible) << to_string(fam);
+    EXPECT_GE(capped.dim_t, 1) << to_string(fam);
+    EXPECT_LE(capped.dim_t, 2) << to_string(fam);
+  }
+  EXPECT_EQ(plan_family(slow, sig, Precision::kSingle, ScheduleFamily::kPaper35D).dim_t,
+            eq3.dim_t);
+  EXPECT_GE(plan_family(slow, sig, Precision::kSingle, ScheduleFamily::kDeep35D).dim_t,
+            eq3.dim_t);
+}
+
 TEST(Planner, RooflinePredictionsOrdering) {
   const auto p = plan(machine::core_i7(), machine::seven_point(), Precision::kSingle,
                       {.round_multiple = 4});

@@ -198,8 +198,8 @@ TEST(ScheduleFamilies, LbmAcrossFamiliesBitExact) {
 
 // The planner's per-family traffic model (core::predicted_bytes_per_update)
 // must agree with the simulated external traffic of the same schedule: the
-// prediction is what prunes the autotuner's candidate list, so a model that
-// drifts from the replay silently mis-ranks families.
+// prediction is the cost compute_plan records for every served plan, so a
+// model that drifts from the replay silently misreports it.
 
 memsim::TraceConfig traffic_cfg(long n, int steps) {
   memsim::TraceConfig cfg;

@@ -243,37 +243,43 @@ TEST(PlanCacheTest, RejectsCorruptShortAndForeignFiles) {
 // with a typed kBadHeader — its entries have a different layout — and the
 // cache must start cold, not half-loaded.
 TEST(PlanCacheTest, RejectsPreFamilyVersionAndStartsCold) {
-  const std::string path = tmp_path("plan_cache_v1.bin");
-  // Hand-craft a v1 header (same 32-byte layout, version field = 1) with an
-  // empty payload and correct CRCs, so only the version check can fire.
-  struct {
-    char magic[8];
-    std::uint32_t version;
-    std::uint32_t count;
-    std::uint64_t payload_bytes;
-    std::uint32_t payload_crc;
-    std::uint32_t header_crc;
-  } h{};
-  static_assert(sizeof(h) == 32);
-  std::memcpy(h.magic, "S35PLNC1", 8);
-  h.version = 1;
-  h.header_crc = crc32c(&h, sizeof(h));
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(&h, sizeof(h), 1, f), 1u);
-  std::fclose(f);
+  // v1 (pre-family layout) and v2 (empirical-search plans that may break
+  // the max_dim_t cap) files must both be refused.
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE(version);
+    const std::string path = tmp_path("plan_cache_v1.bin");
+    // Hand-craft an old header (same 32-byte layout, older version field)
+    // with an empty payload and correct CRCs, so only the version check can
+    // fire.
+    struct {
+      char magic[8];
+      std::uint32_t version;
+      std::uint32_t count;
+      std::uint64_t payload_bytes;
+      std::uint32_t payload_crc;
+      std::uint32_t header_crc;
+    } h{};
+    static_assert(sizeof(h) == 32);
+    std::memcpy(h.magic, "S35PLNC1", 8);
+    h.version = version;
+    h.header_crc = crc32c(&h, sizeof(h));
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(&h, sizeof(h), 1, f), 1u);
+    std::fclose(f);
 
-  PlanCache cache(4);
-  cache.insert(PlanKey::make(machine::core_i7(), machine::seven_point(), 32, 32, 32, 4),
-               {16, 16, 2});
-  const fault::Status st = cache.load(path);
-  EXPECT_EQ(st.code(), fault::ErrorCode::kBadHeader);
-  EXPECT_NE(st.message().find("version"), std::string::npos);
-  EXPECT_EQ(cache.size(), 1u);  // failed load leaves existing contents alone
+    PlanCache cache(4);
+    cache.insert(PlanKey::make(machine::core_i7(), machine::seven_point(), 32, 32, 32, 4),
+                 {16, 16, 2});
+    const fault::Status st = cache.load(path);
+    EXPECT_EQ(st.code(), fault::ErrorCode::kBadHeader);
+    EXPECT_NE(st.message().find("version"), std::string::npos);
+    EXPECT_EQ(cache.size(), 1u);  // failed load leaves existing contents alone
 
-  PlanCache fresh(4);
-  EXPECT_EQ(fresh.load(path).code(), fault::ErrorCode::kBadHeader);
-  EXPECT_EQ(fresh.size(), 0u);  // cold start
+    PlanCache fresh(4);
+    EXPECT_EQ(fresh.load(path).code(), fault::ErrorCode::kBadHeader);
+    EXPECT_EQ(fresh.size(), 0u);  // cold start
+  }
 }
 
 TEST(PlanCacheTest, ComputePlanIsDeterministicAndFeasible) {
@@ -290,7 +296,53 @@ TEST(PlanCacheTest, ComputePlanIsDeterministicAndFeasible) {
   EXPECT_GE(a.dim_t, 1);
 }
 
+// max_dim_t is a hard bound on the planned temporal factor, in every
+// family and for the auto (deep) default.
+TEST(PlanCacheTest, ComputePlanHonorsMaxDimT) {
+  const auto mach = machine::core_i7();
+  const auto sig = machine::seven_point();
+  for (int cap = 1; cap <= 4; ++cap) {
+    for (const int pref : {-1, 0, 1, 2}) {
+      const CachedPlan p = service::compute_plan(mach, sig, 48, 48, 48, cap, pref);
+      EXPECT_LE(p.dim_t, cap) << "pref " << pref;
+      EXPECT_GE(p.dim_t, 1);
+      EXPECT_LE(p.dim_x, 48);
+      EXPECT_LE(p.dim_y, 48);
+      EXPECT_GT(p.dim_x, 2 * sig.radius * p.dim_t);
+    }
+  }
+}
+
+TEST(PlanCacheTest, ComputePlanPlansLbm) {
+  const CachedPlan p =
+      service::compute_plan(machine::core_i7(), machine::lbm_d3q19(), 48, 48, 48, 4);
+  EXPECT_GT(p.dim_x, 2 * p.dim_t);
+  EXPECT_GT(p.dim_y, 2 * p.dim_t);
+  EXPECT_LE(p.dim_x, 48);
+  EXPECT_GE(p.dim_t, 1);
+  EXPECT_LE(p.dim_t, 4);
+}
+
 // ---------------------------------------------------------------- service
+
+// A job that pins dim_t but leaves the tile to the planner gets a plan no
+// deeper than that dim_t, and the same grid as a single-shot sweep.
+TEST(ServiceTest, JobDimTBoundsPlannedDepth) {
+  JobService svc(test_options());
+  JobSpec spec;
+  spec.nx = 32;
+  spec.steps = 4;
+  spec.seed = 5;
+  spec.dim_t = 2;
+  const auto id = svc.submit(spec);
+  ASSERT_TRUE(id.ok());
+  const auto done = svc.wait(id.value());
+  ASSERT_TRUE(done.has_value());
+  ASSERT_EQ(done->state, JobState::kDone) << done->result.message;
+  EXPECT_LE(done->result.dim_t, 2);
+  EXPECT_EQ(done->result.crc, reference_crc(spec, done->result.dim_x,
+                                            done->result.dim_y, done->result.dim_t));
+}
 
 TEST(ServiceTest, RunsJobBitExactAndMemoizesPlan) {
   JobService svc(test_options());

@@ -280,7 +280,7 @@ int cmd_run(const Args& args) {
   // Blocking plan: --dimt N pins the temporal factor (tile stays the fixed
   // 64-wide default so historical runs reproduce); --dimt 0 resolves tile
   // and dim_t through the plan cache — persisted across invocations when
-  // --plan-cache is given, so repeat runs skip the autotune entirely.
+  // --plan-cache is given, so repeat runs skip planning entirely.
   const std::string plan_cache_path = args.str("plan-cache", "");
   if (dim_t <= 0) {
     service::PlanCache cache;
