@@ -13,6 +13,7 @@
 
 #include "cluster/tcp.h"
 #include "service/json.h"
+#include "service/wake.h"
 #include "service/wire.h"
 
 #ifdef __unix__
@@ -173,12 +174,21 @@ int serve_node(int listen_fd, const NodeOptions& opts,
     }
   };
 
+  const int terminal_fd = service.terminal_fd();
+  const std::int64_t beat_ns = static_cast<std::int64_t>(beat_ms) * 1'000'000;
   while (stop == nullptr || !stop->load(std::memory_order_acquire)) {
     pfds.clear();
     pfds.push_back({listen_fd, POLLIN, 0});
+    pfds.push_back({terminal_fd, POLLIN, 0});
     for (const Conn& c : conns)
       if (c.fd >= 0) pfds.push_back({c.fd, POLLIN, 0});
-    ::poll(pfds.data(), pfds.size(), std::max(5, beat_ms / 2));
+    // Sleep until a router writes, a job turns terminal or the next beat
+    // is due; the beat period also bounds how late the stop flag is seen.
+    const std::int64_t until_beat = last_beat_ns + beat_ns - now_ns();
+    ::poll(pfds.data(), pfds.size(),
+           static_cast<int>(std::clamp<std::int64_t>((until_beat + 999'999) / 1'000'000,
+                                                     0, beat_ms)));
+    if ((pfds[1].revents & POLLIN) != 0) svc::WakeFd::drain(terminal_fd);
 
     // Accept everything pending; greet each connection immediately.
     for (;;) {
@@ -263,10 +273,11 @@ int serve_node(int listen_fd, const NodeOptions& opts,
       }
     }
 
-    // Ship terminals exactly once to their submitting connection. A failed
-    // write only records the dead fd; the drop happens after the loop —
-    // drop_conn erases this map's entries for that fd, which would
-    // invalidate the live iterator.
+    // Ship terminals exactly once to their submitting connection (the
+    // terminal fd woke this round when one landed). A failed write only
+    // records the dead fd; the drop happens after the loop — drop_conn
+    // erases this map's entries for that fd, which would invalidate the
+    // live iterator.
     std::vector<int> dead_fds;
     for (auto it = jobs.begin(); it != jobs.end();) {
       const auto info = service.info(it->second.first);
@@ -307,7 +318,7 @@ int serve_node(int listen_fd, const NodeOptions& opts,
     }
 
     const std::int64_t now = now_ns();
-    if (now - last_beat_ns >= static_cast<std::int64_t>(beat_ms) * 1'000'000) {
+    if (now - last_beat_ns >= beat_ns) {
       last_beat_ns = now;
       const std::string beat =
           "{\"job\":0,\"progress\":" +

@@ -15,7 +15,8 @@
 //     connection's jobs, reply kDrained; the node itself keeps serving —
 //     unlike a worker, a node outlives any one router);
 //   * ships each terminal exactly once as kResult to the submitting
-//     connection and beats every beat_ms with the global pass-progress
+//     connection — as soon as the service's terminal fd fires, not on a
+//     poll round — and beats every beat_ms with the global pass-progress
 //     counter plus local plan-cache counters.
 //
 // Plan replication: the service's plan_fetch hook turns a local cache miss

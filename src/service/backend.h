@@ -83,6 +83,15 @@ class JobBackend {
   virtual bool drain(std::int64_t timeout_ms = -1) = 0;
   virtual ServiceStats stats() const = 0;
   virtual void shutdown() = 0;
+
+  // A descriptor that polls readable (POLLIN) after every terminal
+  // transition of any job — the backend's JobLedger::terminal_fd(). A poll
+  // loop that delivers results (serve_unix, a worker, a node) waits on it
+  // instead of rescanning on a timer: drain it with WakeFd::drain(fd)
+  // first, then rescan the jobs it watches. Single consumer: a drain
+  // swallows the readiness for every other poller, so exactly one loop per
+  // backend may use it. Valid for the backend's lifetime.
+  virtual int terminal_fd() const = 0;
 };
 
 }  // namespace s35::service

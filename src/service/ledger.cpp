@@ -306,6 +306,7 @@ bool JobLedger::finish_locked(std::uint64_t id, JobState state,
     terminal_order_.pop_front();
   }
   cv_.notify_all();
+  terminal_.signal();
   return true;
 }
 

@@ -16,8 +16,9 @@
 //   terminal    finish() is first-wins: a duplicate or late result for a
 //               terminal (or already evicted) id is dropped. It updates the
 //               stats counters and the governor, unlinks the checkpoint when
-//               the ledger assigned the path itself, and retires the record
-//               into bounded retention.
+//               the ledger assigned the path itself, retires the record
+//               into bounded retention, and wakes both the wait()/drain()
+//               condition variable and the terminal fd.
 //   failover    requeue() undoes a start (running -> queued, always paired
 //               with TenantGovernor::note_requeued); failover() adds the
 //               attempt cap, the poison quarantine and resume-from-checkpoint.
@@ -27,6 +28,12 @@
 //
 // Terminal records stay queryable through info()/wait() until `retention`
 // newer jobs have finished; wait() on an evicted id returns nullopt.
+//
+// terminal_fd() turns readable at every terminal transition (finish,
+// cancel while queued, shedding, fail_all, a failover that gives up), so a
+// poll loop serving results sleeps until one lands instead of rescanning
+// on a timer. It has one consumer, which drains it with WakeFd::drain()
+// before rescanning; submit, start and requeue never signal it.
 //
 // Thread-safe. The governor and the queue are called with the ledger lock
 // held; neither ever calls back out.
@@ -49,6 +56,7 @@
 #include "service/job.h"
 #include "service/queue.h"
 #include "service/tenancy.h"
+#include "service/wake.h"
 
 namespace s35::service {
 
@@ -94,6 +102,11 @@ class JobLedger {
   bool close();
   // Consumer gate for next_wait() (the in-process service's pause).
   void set_gate(bool gated) { queue_.set_gate(gated); }
+
+  // Readable after every terminal transition until drained (see above).
+  int terminal_fd() const { return terminal_.fd(); }
+  // In a freshly forked child: closes the terminal fd's pipe.
+  void close_fds_in_child() const { terminal_.close_in_child(); }
 
   // ---- dispatch ----
   // A queued id to run: failed-over jobs first, then the queue's own
@@ -171,6 +184,7 @@ class JobLedger {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;  // any terminal transition
+  WakeFd terminal_;             // the same, for poll loops
   std::unordered_map<std::uint64_t, std::unique_ptr<Record>> jobs_;
   std::deque<std::uint64_t> terminal_order_;  // retention, oldest first
   std::deque<std::uint64_t> retry_;           // failed over, dispatched first

@@ -1,6 +1,5 @@
 #include "service/peer_plane.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
@@ -29,15 +28,6 @@ PeerPlane::PeerPlane(PlaneConfig plane, LedgerConfig ledger,
         return std::move(ledger);
       }()) {
   if (cfg_.beat_ms < 5) cfg_.beat_ms = 5;
-  if (::pipe(wake_fds_) != 0) {
-    std::fprintf(stderr, "%s: wake pipe failed\n", cfg_.log_tag);
-    wake_fds_[0] = wake_fds_[1] = -1;
-  } else {
-    // Both ends nonblocking: the monitor drains the pipe until EAGAIN, and
-    // a full pipe must never stall a submitter's wake().
-    for (const int fd : wake_fds_)
-      ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-  }
   peers_.resize(names.size());
   for (std::size_t i = 0; i < names.size(); ++i) {
     peers_[i].index = static_cast<int>(i);
@@ -46,16 +36,11 @@ PeerPlane::PeerPlane(PlaneConfig plane, LedgerConfig ledger,
   counters_.workers = static_cast<int>(names.size());
 }
 
-PeerPlane::~PeerPlane() {
-  for (const int fd : wake_fds_)
-    if (fd >= 0) ::close(fd);
-}
-
 void PeerPlane::close_fds_in_child() const {
   for (const Peer& p : peers_)
     if (p.fd >= 0) ::close(p.fd);
-  for (const int fd : wake_fds_)
-    if (fd >= 0) ::close(fd);
+  wake_.close_in_child();
+  ledger_.close_fds_in_child();
 }
 
 void PeerPlane::start() { monitor_ = std::thread(&PeerPlane::monitor_loop, this); }
@@ -70,13 +55,6 @@ bool PeerPlane::stop() {
   wake();
   if (monitor_.joinable()) monitor_.join();
   return true;
-}
-
-void PeerPlane::wake() {
-  if (wake_fds_[1] >= 0) {
-    const char b = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &b, 1);
-  }
 }
 
 ServiceStats PeerPlane::stats() const {
@@ -292,7 +270,7 @@ void PeerPlane::forward_cancels() {
 
 void PeerPlane::monitor_loop() {
   std::vector<pollfd> pfds;
-  std::vector<int> peer_of;  // pfds index -> peer index (-1 = wake pipe)
+  std::vector<int> peer_of;  // pfds index -> peer index (-1 = wake fd)
 
   while (true) {
     const bool stopping = this->stopping();
@@ -300,10 +278,8 @@ void PeerPlane::monitor_loop() {
 
     pfds.clear();
     peer_of.clear();
-    if (wake_fds_[0] >= 0) {
-      pfds.push_back({wake_fds_[0], POLLIN, 0});
-      peer_of.push_back(-1);
-    }
+    pfds.push_back({wake_.fd(), POLLIN, 0});
+    peer_of.push_back(-1);
     for (const Peer& p : peers_)
       if (p.fd >= 0) {
         pfds.push_back({p.fd, POLLIN, 0});
@@ -314,9 +290,7 @@ void PeerPlane::monitor_loop() {
     for (std::size_t i = 0; i < pfds.size(); ++i) {
       if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       if (peer_of[i] < 0) {
-        char buf[64];
-        while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
-        }
+        wake_.drain();
         continue;
       }
       read_peer(peers_[static_cast<std::size_t>(peer_of[i])], stopping);

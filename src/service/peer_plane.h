@@ -39,6 +39,7 @@
 #include "fault/retry.h"
 #include "service/backend.h"
 #include "service/ledger.h"
+#include "service/wake.h"
 #include "service/wire.h"
 
 namespace s35::service {
@@ -58,8 +59,6 @@ struct PlaneConfig {
 
 class PeerPlane : public JobBackend {
  public:
-  ~PeerPlane() override;
-
   fault::Expected<std::uint64_t> submit(const JobSpec& spec) override {
     return ledger_.submit(spec);
   }
@@ -71,6 +70,7 @@ class PeerPlane : public JobBackend {
     return ledger_.wait(id, timeout_ms);
   }
   bool drain(std::int64_t timeout_ms = -1) override { return ledger_.drain(timeout_ms); }
+  int terminal_fd() const override { return ledger_.terminal_fd(); }
   // Ledger counters plus the supervision block: workers = configured peers,
   // workers_live, in_flight, max_heartbeat_age_ms and the loss counters.
   ServiceStats stats() const override;
@@ -137,10 +137,11 @@ class PeerPlane : public JobBackend {
   // the job was no longer dispatchable (finished or cancelled meanwhile).
   bool assign(Peer& p, std::uint64_t id);
   void handle_frame(Peer& p, wire::FrameType type, const std::string& payload);
-  void wake();
+  void wake() { wake_.signal(); }
   bool stopping() const { return stopping_.load(std::memory_order_acquire); }
-  // In a freshly forked child: closes every plane-side descriptor, so a
-  // sibling's death stays visible as EOF to the plane alone.
+  // In a freshly forked child: closes every plane-side descriptor — peer
+  // sockets, the work wake and the ledger's terminal fd — so a sibling's
+  // death stays visible as EOF to the plane alone.
   void close_fds_in_child() const;
 
   PlaneConfig cfg_;
@@ -159,7 +160,7 @@ class PeerPlane : public JobBackend {
   void forward_cancels();
   void stop_peers();
 
-  int wake_fds_[2] = {-1, -1};
+  WakeFd wake_;  // submits and cancels wake the monitor
   std::atomic<bool> stopping_{false};
   std::thread monitor_;
 };

@@ -4,12 +4,14 @@
 #include <chrono>
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
 #include "service/json.h"
+#include "service/wake.h"
 
 #ifdef __unix__
 #include <fcntl.h>
@@ -231,8 +233,9 @@ namespace {
 
 // A parked blocking op. `wait` and `drain` must not call into the backend
 // with a blocking timeout from the poll thread — one waiting client would
-// stall every other client. They are parked here and re-checked each poll
-// round with nonblocking backend calls instead.
+// stall every other client. They are parked here and re-checked with
+// nonblocking backend calls whenever the backend's terminal fd fires or
+// the nearest parked deadline passes.
 struct Pending {
   enum Kind { kWait, kDrain } kind = kWait;
   std::uint64_t id = 0;
@@ -248,7 +251,10 @@ struct Client {
   int fd = -1;
   std::string in;
   std::string out;
-  bool closing = false;  // flush remaining output, then close
+  // No more input (EOF, or an oversized line was rejected): every complete
+  // buffered line is still answered and a parked op still resolves; the
+  // connection closes once that output is flushed.
+  bool closing = false;
   std::optional<Pending> pending;
 };
 
@@ -268,7 +274,7 @@ std::int64_t steady_ns() {
 // state (never currently — errors respond in-band).
 void process_lines(JobBackend& svc, Client& c, bool* shutdown) {
   std::size_t nl;
-  while (!c.closing && !c.pending && (nl = c.in.find('\n')) != std::string::npos) {
+  while (!c.pending && (nl = c.in.find('\n')) != std::string::npos) {
     const std::string line = c.in.substr(0, nl);
     c.in.erase(0, nl + 1);
     if (line.empty()) continue;
@@ -363,34 +369,48 @@ int serve_unix(JobBackend& svc, const std::string& path,
   std::vector<Client> clients;
   std::vector<pollfd> pfds;
   bool shutdown = false;
+  const int terminal_fd = svc.terminal_fd();
 
   while (!shutdown && (stop == nullptr || !stop->load(std::memory_order_acquire))) {
-    // Re-check parked waits/drains first: the job may have finished while
-    // we slept, and resolving may unblock further buffered lines.
-    bool any_pending = false;
+    // Re-check parked waits/drains first: a job may have ended (or a
+    // deadline passed) while we slept, and resolving may unblock further
+    // buffered lines.
+    std::int64_t next_deadline_ns = -1;
     for (Client& c : clients) {
       while (check_pending(svc, c)) {
         process_lines(svc, c, &shutdown);
         if (shutdown) break;
       }
       if (shutdown) break;
-      if (c.pending) any_pending = true;
+      if (c.pending && c.pending->deadline_ns >= 0 &&
+          (next_deadline_ns < 0 || c.pending->deadline_ns < next_deadline_ns))
+        next_deadline_ns = c.pending->deadline_ns;
     }
     if (shutdown) break;
 
     pfds.clear();
     pfds.push_back({server, POLLIN, 0});
+    pfds.push_back({terminal_fd, POLLIN, 0});
     for (const Client& c : clients) {
-      short events = POLLIN;
+      // No POLLIN once a client is closing: an EOF'd fd stays readable
+      // forever and would spin the loop.
+      short events = c.closing ? 0 : POLLIN;
       if (!c.out.empty()) events |= POLLOUT;
       pfds.push_back({c.fd, events, 0});
     }
-    // Bounded poll: parked ops need re-checking, and the stop flag
-    // (SIGTERM drain) must be honored even when every client is idle.
-    const int timeout = any_pending ? 20 : (stop != nullptr ? 200 : -1);
+    // Sleep until a client, a terminal transition or the nearest parked
+    // deadline needs us; the stop flag (SIGTERM drain) bounds the sleep to
+    // 200 ms so it is honored even when every client is idle.
+    int timeout = -1;
+    if (next_deadline_ns >= 0)
+      timeout = static_cast<int>(
+          std::clamp<std::int64_t>((next_deadline_ns - steady_ns() + 999'999) / 1'000'000,
+                                   0, std::numeric_limits<int>::max()));
+    if (stop != nullptr && (timeout < 0 || timeout > 200)) timeout = 200;
     const int pr = ::poll(pfds.data(), pfds.size(), timeout);
     if (pr < 0 && errno != EINTR) break;
     if (pr <= 0) continue;
+    if ((pfds[1].revents & POLLIN) != 0) WakeFd::drain(terminal_fd);
 
     // Only the clients that were polled this round have a pfds entry;
     // anyone accepted below waits for the next round. Accept after
@@ -412,7 +432,7 @@ int serve_unix(JobBackend& svc, const std::string& path,
 
     for (std::size_t i = 0; i < polled; ++i) {
       Client& c = clients[i];
-      const pollfd& p = pfds[i + 1];
+      const pollfd& p = pfds[i + 2];
       bool dead = (p.revents & (POLLERR | POLLNVAL)) != 0;
 
       if (!dead && (p.revents & POLLOUT) != 0 && !c.out.empty()) {
@@ -444,8 +464,7 @@ int serve_unix(JobBackend& svc, const std::string& path,
             continue;
           }
           if (n == 0) {
-            c.closing = true;  // EOF: flush pending replies, then close
-            if (c.in.empty() && c.out.empty()) dead = true;
+            c.closing = true;  // EOF: answer what is buffered, then close
             break;
           }
           if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
@@ -468,6 +487,10 @@ int serve_unix(JobBackend& svc, const std::string& path,
         }
       }
 
+      // POLLHUP: the peer shut both directions and can read no reply. A
+      // half-closed peer (SHUT_WR) only reads EOF and is kept until its
+      // answers are out.
+      if ((p.revents & POLLHUP) != 0) dead = true;
       if (dead || (c.closing && c.out.empty() && !c.pending)) {
         ::close(c.fd);
         c.fd = -1;

@@ -38,12 +38,16 @@ long serve_stream(JobBackend& svc, std::istream& in, std::ostream& out);
 
 // Unix-domain socket transport: binds `path` and multiplexes every
 // connected client over one poll loop — a slow, stalled, or dead client
-// cannot delay another client's submits or waits. Oversized request lines
-// (beyond json::kMaxRequestBytes) get a protocol_error response and the
-// offending connection is closed. Runs until a shutdown op, or until
-// `*stop` becomes true (checked between poll rounds; `s35 serve` points it
-// at its SIGTERM flag for graceful drain). Returns 0 on clean shutdown,
-// nonzero on transport errors or non-POSIX builds.
+// cannot delay another client's submits or waits. Parked `wait`/`drain`
+// requests resolve when the backend's terminal_fd() fires or their own
+// timeout_ms passes; the loop is that fd's single consumer. A client that
+// half-closes (SHUT_WR) is answered before its connection closes.
+// Oversized request lines (beyond json::kMaxRequestBytes) get a
+// protocol_error response and the offending connection is closed. Runs
+// until a shutdown op, or until `*stop` becomes true (checked at least
+// every 200 ms; `s35 serve` points it at its SIGTERM flag for graceful
+// drain). Returns 0 on clean shutdown, nonzero on transport errors or
+// non-POSIX builds.
 int serve_unix(JobBackend& svc, const std::string& path,
                const std::atomic<bool>* stop = nullptr);
 

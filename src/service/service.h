@@ -122,6 +122,8 @@ class JobService : public JobBackend {
   // Blocks until every submitted job is terminal. False on timeout.
   bool drain(std::int64_t timeout_ms = -1) override { return ledger_.drain(timeout_ms); }
 
+  int terminal_fd() const override { return ledger_.terminal_fd(); }
+
   // Pauses/resumes the worker *between* jobs — tests use this to stack the
   // queue deterministically before anything runs.
   void set_paused(bool paused);

@@ -1,6 +1,9 @@
 #include "service/worker.h"
 
+#include <poll.h>
+
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -8,6 +11,7 @@
 #include <thread>
 
 #include "service/json.h"
+#include "service/wake.h"
 #include "service/wire.h"
 
 namespace s35::service {
@@ -102,14 +106,23 @@ int worker_main(int fd, const WorkerOptions& opts) {
   std::string acc;
   int rc = 0;
   bool draining = false;
+  // Event-driven: sleep until the supervisor writes or the job ends. The
+  // service's terminal fd is readable once the job is terminal, so its
+  // result ships the moment it lands; beats run on their own thread.
+  pollfd pfds[2] = {{fd, POLLIN, 0}, {svc.terminal_fd(), POLLIN, 0}};
   for (bool running = true; running;) {
-    wire::Frame frame;
-    const int got = wire::read_frame(fd, &acc, &frame, 20);
-    if (got < 0) {
-      rc = draining ? 0 : 1;  // orphaned: supervisor died or closed on us
+    if (::poll(pfds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      rc = 1;
       break;
     }
-    if (got == 1) {
+    if ((pfds[1].revents & POLLIN) != 0) WakeFd::drain(pfds[1].fd);
+
+    // Every frame the supervisor has written so far.
+    int got = 0;
+    wire::Frame frame;
+    while ((pfds[0].revents & (POLLIN | POLLHUP | POLLERR)) != 0 &&
+           (got = wire::read_frame(fd, &acc, &frame, 0)) == 1) {
       switch (frame.type) {
         case wire::FrameType::kSubmit: {
           JobSpec spec;
@@ -157,6 +170,10 @@ int worker_main(int fd, const WorkerOptions& opts) {
         default:
           break;  // beats/results never flow supervisor -> worker
       }
+    }
+    if (got < 0) {
+      rc = draining ? 0 : 1;  // orphaned: supervisor died or closed on us
+      break;
     }
 
     // Completed job? Ship the terminal result exactly once.

@@ -3,7 +3,9 @@
 // `worker_main` is what a forked child runs: it builds a private JobService
 // (own thread team, own PlanCache shard over the shared on-disk cache) and
 // serves one job at a time from the supervisor over the wire protocol
-// (wire.h). A heartbeat thread reports liveness as *progress*, not mere
+// (wire.h). The protocol loop sleeps in poll on the supervisor socket and
+// the service's terminal fd, so a result frame leaves the moment its job
+// ends. A heartbeat thread reports liveness as *progress*, not mere
 // frame arrival: the beat payload carries a counter the pass hook bumps at
 // every blocked-pass boundary, so a worker that is alive but frozen
 // mid-job is indistinguishable from a dead one at the supervisor — which

@@ -403,6 +403,44 @@ TEST(ClusterTest, TerminalRetentionEvictsRecordsAndCheckpoints) {
   reap_node(pid);
 }
 
+// A node ships a result when its job ends, not on its next poll round: 10
+// sequential tiny jobs through a router take a few milliseconds in all. A
+// node that ships terminals only every max(5, beat_ms/2) = 25 ms round
+// (default beat) needs at least 250 ms.
+TEST(ClusterTest, SequentialTinyJobsAreNotPacedByTheNodeRound) {
+  NodeOptions nopts;  // default beat_ms
+  nopts.service = node_service_options();
+  const BoundNode a = bind_node();
+  const pid_t pid = fork_node(a, nopts);
+
+  RouterOptions ropts;
+  ropts.nodes = {a.address};
+  ropts.connect_timeout_ms = 2000;
+  Router router(ropts);
+  JobSpec spec;
+  spec.nx = 8;
+  spec.steps = 1;
+  spec.dim_x = 8;
+  spec.dim_y = 8;
+  spec.dim_t = 1;
+  const auto round_trip = [&] {
+    const auto id = router.submit(spec);
+    ASSERT_TRUE(id.ok()) << id.status().to_string();
+    const auto done = router.wait(id.value(), 60'000);
+    ASSERT_TRUE(done.has_value());
+    EXPECT_EQ(done->state, JobState::kDone) << done->result.message;
+  };
+  round_trip();  // dials the node and warms its service
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 10; ++i) round_trip();
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  EXPECT_LT(ms, 125) << "10 round trips took " << ms << " ms";
+  router.shutdown();
+  reap_node(pid);
+}
+
 // Typed admission errors surface through the router like any backend's.
 TEST(ClusterTest, InvalidSpecRejectedAtAdmission) {
   RouterOptions ropts;

@@ -1,15 +1,16 @@
 // JobLedger: the one job table behind JobService, Supervisor and Router.
 //
 // LedgerTest drives the ledger directly — first-wins terminals, bounded
-// retention, wait/drain, cancellation and the failover bookkeeping — and
-// forks nothing, so it runs under ThreadSanitizer. LedgerBackendTest runs
-// one conservation scenario against all three backends; the supervisor and
-// router cases fork worker/node processes, so CI's TSan leg runs only the
-// ctest entry `test_ledger` (the LedgerTest half), never
-// `test_ledger_backends`.
+// retention, wait/drain, cancellation, the failover bookkeeping and the
+// terminal fd — and forks nothing, so it runs under ThreadSanitizer.
+// LedgerBackendTest runs one conservation scenario against all three
+// backends; the supervisor and router cases fork worker/node processes, so
+// CI's TSan leg runs only the ctest entry `test_ledger` (the LedgerTest
+// half), never `test_ledger_backends`.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -34,6 +35,7 @@
 #include "service/ledger.h"
 #include "service/service.h"
 #include "service/supervisor.h"
+#include "service/wake.h"
 
 namespace s35 {
 namespace {
@@ -332,6 +334,84 @@ TEST(LedgerTest, ShedsExpiredQueuedJobs) {
   EXPECT_EQ(s.shed_expired, 1u);
   EXPECT_EQ(s.expired, 1u);
   EXPECT_EQ(tenant_counters(ledger, "late").queued, 0u);
+}
+
+bool readable(int fd) {
+  pollfd p{fd, POLLIN, 0};
+  return ::poll(&p, 1, 0) == 1 && (p.revents & POLLIN) != 0;
+}
+
+// The terminal fd is what poll loops sleep on instead of a tick: every
+// terminal transition must make it readable, nothing else may, and one
+// drain() must clear it however many signals coalesced.
+TEST(LedgerTest, TerminalFdSignalsEveryTerminalTransition) {
+  LedgerConfig cfg;
+  cfg.tenancy.quarantine_kills = 1;  // one poison loss opens the breaker
+  cfg.tenancy.quarantine_cooldown_ms = 60'000;
+  JobLedger ledger(cfg);
+  const int fd = ledger.terminal_fd();
+  ASSERT_GE(fd, 0);
+  const auto signalled = [&] {
+    const bool was = readable(fd);
+    service::WakeFd::drain(fd);
+    EXPECT_FALSE(readable(fd)) << "drain() left the fd readable";
+    return was;
+  };
+  EXPECT_FALSE(readable(fd));
+
+  // Not terminal: submit, start, requeue.
+  const auto a = ledger.submit(small_spec());
+  ASSERT_TRUE(a.ok());
+  EXPECT_FALSE(readable(fd)) << "submit";
+  ASSERT_EQ(ledger.next(0), a.value());
+  ASSERT_TRUE(ledger.start(a.value(), 0).has_value());
+  EXPECT_FALSE(readable(fd)) << "start";
+  ledger.requeue(a.value());
+  EXPECT_FALSE(readable(fd)) << "requeue";
+
+  ASSERT_EQ(ledger.next(0), a.value());
+  ASSERT_TRUE(ledger.start(a.value(), 0).has_value());
+  ASSERT_TRUE(ledger.finish(a.value(), JobState::kDone, done_with_crc(1)));
+  EXPECT_TRUE(signalled()) << "finish";
+  EXPECT_FALSE(ledger.finish(a.value(), JobState::kDone, done_with_crc(2)));
+  EXPECT_FALSE(readable(fd)) << "a dropped duplicate result";
+
+  const auto b = ledger.submit(small_spec());
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(ledger.cancel(b.value()));
+  EXPECT_TRUE(signalled()) << "cancel while queued";
+
+  JobSpec late = small_spec();
+  late.deadline_ms = 1;
+  ASSERT_TRUE(ledger.submit(late).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ledger.shed_expired();
+  EXPECT_TRUE(signalled()) << "shed_expired";
+
+  const std::uint64_t capped = submit_and_start(ledger, small_spec());
+  ledger.failover(capped, 1, "worker loss: test");
+  EXPECT_EQ(ledger.info(capped)->state, JobState::kFailed);
+  EXPECT_TRUE(signalled()) << "failover past max_attempts";
+
+  const std::uint64_t poison = submit_and_start(ledger, small_spec());
+  ledger.failover(poison, 3, "worker loss: test");
+  EXPECT_EQ(ledger.info(poison)->state, JobState::kQueued);
+  EXPECT_FALSE(readable(fd)) << "failover that requeues";
+  ASSERT_EQ(ledger.next(0), poison);
+  ASSERT_TRUE(ledger.start(poison, 0).has_value());
+  ledger.note_poison(poison);
+  ledger.failover(poison, 3, "worker loss: test");
+  EXPECT_EQ(ledger.info(poison)->state, JobState::kFailed);
+  EXPECT_TRUE(signalled()) << "failover into quarantine";
+
+  // Another shape: the breaker now rejects this one at admission.
+  JobSpec other = small_spec();
+  other.nx = 24;
+  ASSERT_TRUE(ledger.submit(other).ok());
+  ASSERT_TRUE(ledger.submit(other).ok());
+  ledger.fail_all("plane gone");
+  EXPECT_TRUE(signalled()) << "fail_all (two jobs, one drain)";
+  EXPECT_TRUE(ledger.drain(0));
 }
 
 // ------------------------------------------------- one scenario, 3 backends

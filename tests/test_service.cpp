@@ -947,6 +947,137 @@ TEST(ProtocolTest, ServeUnixMultiplexesPastStalledClient) {
   std::remove(sock.c_str());
 }
 
+// True once the server closes `fd` (recv returns 0) within the timeout.
+bool closed_by_server(int fd, int timeout_ms = 5000) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  char buf[256];
+  while (std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n == 0) return true;
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)
+      return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return false;
+}
+
+// Asks the server to stop with the shutdown op and joins it. The tests
+// below run serve_unix without a stop flag, so no 200 ms stop-flag bound
+// wakes the loop: only clients, terminals and parked deadlines do.
+void shutdown_server(const std::string& sock, std::thread& server) {
+  const int fd = connect_unix(sock);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_line(fd, R"({"op":"shutdown"})"));
+  EXPECT_NE(recv_line(fd, 5000).find("\"shutdown\":true"), std::string::npos);
+  server.join();
+  ::close(fd);
+}
+
+// A client that shuts its write side (SHUT_WR) still reads every answer:
+// complete lines buffered before the EOF are served, and a parked wait
+// keeps the connection until its result is out. Only then does the server
+// close. A request written just before a full close is still executed.
+TEST(ProtocolTest, ServeUnixAnswersHalfClosedClient) {
+  const std::string sock = tmp_path("s35_halfclose.sock");
+  JobService svc(test_options());
+  std::thread server([&] { service::serve_unix(svc, sock); });
+
+  const int quick = connect_unix(sock);
+  ASSERT_GE(quick, 0);
+  ASSERT_TRUE(send_line(quick, R"({"op":"stats"})"));
+  ASSERT_EQ(::shutdown(quick, SHUT_WR), 0);
+  const std::string stats = recv_line(quick, 5000);
+  EXPECT_NE(stats.find("\"submitted\":0"), std::string::npos) << stats;
+  EXPECT_TRUE(closed_by_server(quick));
+
+  // Paused: the job stays queued, so the wait is parked when the EOF lands.
+  svc.set_paused(true);
+  const int parked = connect_unix(sock);
+  ASSERT_GE(parked, 0);
+  ASSERT_TRUE(send_line(parked, R"({"op":"submit","kernel":"7pt","n":16,"steps":2})"));
+  const std::string ack = recv_line(parked, 5000);
+  ASSERT_NE(ack.find("\"id\":1"), std::string::npos) << ack;
+  ASSERT_TRUE(send_line(parked, R"({"op":"wait","id":1})"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_EQ(::shutdown(parked, SHUT_WR), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  svc.set_paused(false);
+  const std::string done = recv_line(parked, 10'000);
+  EXPECT_NE(done.find("\"state\":\"done\""), std::string::npos) << done;
+  EXPECT_TRUE(closed_by_server(parked));
+
+  // Fire and forget: a submit written just before a full close still runs.
+  const int gone = connect_unix(sock);
+  ASSERT_GE(gone, 0);
+  ASSERT_TRUE(send_line(gone, R"({"op":"submit","kernel":"7pt","n":16,"steps":2})"));
+  ::close(gone);
+  bool admitted = false;
+  for (int i = 0; i < 500 && !admitted; ++i) {
+    admitted = svc.stats().submitted == 2;
+    if (!admitted) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(admitted) << "the submit written before the close was dropped";
+
+  shutdown_server(sock, server);
+  ::close(quick);
+  ::close(parked);
+  std::remove(sock.c_str());
+}
+
+// Parked ops have no poll tick to ride on: their deadlines must still fire
+// on time, other clients must still be served meanwhile, and a plain wait
+// must still resolve when the job ends.
+TEST(ProtocolTest, ServeUnixParkedTimeoutsFireOnTime) {
+  const std::string sock = tmp_path("s35_deadline.sock");
+  JobService svc(test_options());
+  svc.set_paused(true);
+  std::thread server([&] { service::serve_unix(svc, sock); });
+
+  const int waiter = connect_unix(sock);
+  const int other = connect_unix(sock);
+  ASSERT_GE(waiter, 0);
+  ASSERT_GE(other, 0);
+  ASSERT_TRUE(send_line(waiter, R"({"op":"submit","kernel":"7pt","n":16,"steps":2})"));
+  const std::string ack = recv_line(waiter, 5000);
+  ASSERT_NE(ack.find("\"id\":1"), std::string::npos) << ack;
+
+  const auto elapsed_ms = [](std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(send_line(waiter, R"({"op":"wait","id":1,"timeout_ms":100})"));
+  ASSERT_TRUE(send_line(other, R"({"op":"stats"})"));
+  const std::string stats = recv_line(other, 5000);
+  EXPECT_NE(stats.find("\"queue_depth\":1"), std::string::npos) << stats;
+  const std::string timed_out = recv_line(waiter, 5000);
+  auto ms = elapsed_ms(t0);
+  EXPECT_NE(timed_out.find("\"error\":\"unavailable\""), std::string::npos)
+      << timed_out;
+  EXPECT_GE(ms, 100);
+  EXPECT_LT(ms, 1000);
+
+  t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(send_line(waiter, R"({"op":"drain","timeout_ms":100})"));
+  const std::string drain = recv_line(waiter, 5000);
+  ms = elapsed_ms(t0);
+  EXPECT_NE(drain.find("drain timeout"), std::string::npos) << drain;
+  EXPECT_GE(ms, 100);
+  EXPECT_LT(ms, 1000);
+
+  svc.set_paused(false);
+  ASSERT_TRUE(send_line(waiter, R"({"op":"wait","id":1})"));
+  const std::string done = recv_line(waiter, 10'000);
+  EXPECT_NE(done.find("\"state\":\"done\""), std::string::npos) << done;
+
+  shutdown_server(sock, server);
+  ::close(waiter);
+  ::close(other);
+  std::remove(sock.c_str());
+}
+
 #endif  // __unix__
 
 // ------------------------------------------------------------------- soak

@@ -219,6 +219,37 @@ TEST(SupervisorTest, RunsJobsBitExactAcrossWorkers) {
   EXPECT_EQ(s.failovers, 0u);
 }
 
+// A worker ships its result when the job ends, not on a read timeout: 20
+// sequential round trips of a tiny job take a few milliseconds in all. A
+// worker that checks for finished jobs only between 20 ms frame reads needs
+// at least 400 ms.
+TEST(SupervisorTest, SequentialRoundTripsAreNotPacedByATick) {
+  SupervisorOptions o = sup_options(1);
+  o.checkpoint_dir.clear();  // time the result path, not checkpoint I/O
+  Supervisor sup(o);
+  JobSpec spec;
+  spec.nx = 8;
+  spec.steps = 1;
+  spec.dim_x = 8;
+  spec.dim_y = 8;
+  spec.dim_t = 1;
+  const auto round_trip = [&] {
+    const auto id = sup.submit(spec);
+    ASSERT_TRUE(id.ok()) << id.status().to_string();
+    const auto done = sup.wait(id.value(), 60'000);
+    ASSERT_TRUE(done.has_value());
+    EXPECT_EQ(done->state, JobState::kDone) << done->result.message;
+  };
+  round_trip();  // forks the worker and warms its service
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) round_trip();
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  EXPECT_LT(ms, 200) << "20 round trips took " << ms << " ms";
+  EXPECT_EQ(sup.stats().completed, 21u);
+}
+
 TEST(SupervisorTest, RejectsBadSpecs) {
   Supervisor sup(sup_options(1));
   JobSpec bad;
