@@ -27,7 +27,7 @@ void BM_Stencil7Row(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (n - 2));
 }
 
-// Register-blocked interior fast path (scalar peel to alignment, 4xW
+// Register-blocked interior fast path (vector head/tail edges, 4xW
 // X-unroll); Fma=true additionally fuses each multiply-add (one rounding).
 template <typename T, typename Tag, bool Fma>
 void BM_Stencil7RowFast(benchmark::State& state) {

@@ -37,8 +37,8 @@ std::vector<simd::Isa> available_isas() {
 }
 
 struct RowMups {
-  double generic = 0.0;   // update_row: plain vector loop + scalar tail
-  double fast = 0.0;      // row_fast: peel/align, 4xW unroll, exact rounding
+  double generic = 0.0;   // update_row: plain vector loop, vector edges
+  double fast = 0.0;      // row_fast: aligned body, 4xW unroll, exact rounding
   double fast_fma = 0.0;  // row_fast with fused multiply-add
 };
 

@@ -2,23 +2,16 @@
 
 #include <algorithm>
 
-namespace s35::cluster {
+#include "common/rng.h"
 
-namespace {
+namespace s35::cluster {
 
 // FNV-1a over the node name, then a splitmix64 finalizer per replica.
 // FNV alone clusters similar strings ("host:7401" vs "host:7402"); the
 // finalizer spreads the replicas uniformly, which the balance bound in
 // test_ring depends on.
-std::uint64_t mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 std::uint64_t HashRing::point_hash(const std::string& node, int replica) {
+  const auto mix = SplitMix64::mix;
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (const char c : node) {
     h ^= static_cast<unsigned char>(c);

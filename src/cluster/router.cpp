@@ -87,7 +87,11 @@ Router::Router(RouterOptions options)
     : PeerPlane(plane_config(options), ledger_config(options), options.nodes),
       opts_(std::move(options)),
       plans_(std::max<std::size_t>(1, opts_.plan_cache_entries)),
-      ring_(opts_.vnodes) {
+      ring_(opts_.vnodes),
+      joined_(peers_.size(), false) {
+  for (const Peer& n : peers_) ring_.add(n.name);
+  join_deadline_ns_ =
+      now_ns() + std::int64_t{std::max(100, opts_.connect_timeout_ms)} * 1'000'000;
   if (opts_.beat_ms < 5) opts_.beat_ms = 5;
   if (opts_.window < 1) opts_.window = 1;
   if (opts_.checkpoint_every < 1) opts_.checkpoint_every = 1;
@@ -148,7 +152,7 @@ void Router::on_hello(Peer& n, const std::string& payload) {
     n.beat_ns = now;
     if (n.losses > 0) ++counters_.restarts;  // a rejoin
   }
-  ring_.add(n.name);
+  joined_[static_cast<std::size_t>(n.index)] = true;
   // Warm the (re)joined node with the full authoritative plan cache, so a
   // plan tuned anywhere is served from cache everywhere — including on a
   // node that was dead when the plan was first broadcast.
@@ -221,17 +225,25 @@ bool Router::place(std::uint64_t id) {
   const auto job = ledger_.info(id);
   if (!job || job->state != svc::JobState::kQueued)
     return true;  // already terminal/running; nothing to hold back
-  // Strict shape affinity: the ring owner or nothing. Holding a job back
-  // until its owner has window room is what keeps repeat shapes on the node
-  // whose plan cache and warm grids already serve them.
-  const std::string owner = ring_.owner(job->spec.shape_key());
-  const auto n = std::find_if(peers_.begin(), peers_.end(),
-                              [&](const Peer& p) { return p.name == owner; });
-  if (owner.empty() || n == peers_.end() || !n->live || n->fd < 0 ||
-      static_cast<int>(n->jobs.size()) >= n->window)
-    return false;
-  assign(*n, id);
-  return true;
+  // Strict shape affinity: the first node clockwise that is live, or
+  // nothing. Holding a job back until that node has window room is what
+  // keeps repeat shapes on the node whose plan cache and warm grids already
+  // serve them. Before the join deadline an owner that has not said hello
+  // yet holds its jobs too; a lost or abandoned one is passed over.
+  const bool joining = now_ns() < join_deadline_ns_;
+  for (const std::string& name :
+       ring_.owners(job->spec.shape_key(), static_cast<int>(peers_.size()))) {
+    const auto n = std::find_if(peers_.begin(), peers_.end(),
+                                [&](const Peer& p) { return p.name == name; });
+    if (n->live && n->fd >= 0) {
+      if (static_cast<int>(n->jobs.size()) >= n->window) return false;
+      assign(*n, id);
+      return true;
+    }
+    if (joining && !n->abandoned && !joined_[static_cast<std::size_t>(n->index)])
+      return false;
+  }
+  return false;
 }
 
 void Router::dispatch() {

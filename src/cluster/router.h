@@ -7,10 +7,15 @@
 // the same PeerPlane over the same JobLedger (service/peer_plane.h), so a
 // node SIGKILL looks exactly like a worker SIGKILL one level up:
 //
-//   placement   a consistent-hash ring (ring.h) over the live nodes maps
-//               each job's shape_key to its owner, so repeat shapes land on
-//               the node whose plan cache and warm grid pool already hold
-//               them; membership changes move only ~1/N of shapes.
+//   placement   a consistent-hash ring (ring.h) over the configured nodes
+//               maps each job's shape_key to its owner, so repeat shapes
+//               land on the node whose plan cache and warm grid pool
+//               already hold them. A lost node's shapes go to the next live
+//               node clockwise (~1/N of shapes move). An owner that has not
+//               said hello yet is waited for, but only until the join
+//               deadline, max(100, connect_timeout_ms) after the router
+//               starts; its jobs then go to the successor too. Placement
+//               therefore does not depend on which node answered first.
 //   death       EOF/hang on a node connection. The socket is drained before
 //               any job is declared lost (a result written microseconds
 //               before the kill is still a result), then every in-flight
@@ -25,7 +30,7 @@
 //               dropped.
 //   rejoin      dead nodes are re-dialed on capped+jittered backoff
 //               (fault::retry) and abandoned after max_rejoins; a rejoining
-//               node is re-added to the ring and immediately warmed with
+//               node takes its shapes back and is immediately warmed with
 //               the full authoritative plan cache.
 //
 // Plan replication: the router owns the authoritative PlanCache. Writes
@@ -116,7 +121,6 @@ class Router : public service::PeerPlane {
   void dispatch() override;
   void on_frame(Peer& n, service::wire::FrameType type,
                 const std::string& payload) override;
-  void on_lost(Peer& n) override { ring_.remove(n.name); }
 
   void on_hello(Peer& n, const std::string& payload);
   void on_plan_pull(Peer& n, const std::string& payload);
@@ -126,7 +130,11 @@ class Router : public service::PeerPlane {
 
   RouterOptions opts_;
   service::PlanCache plans_;  // authoritative; replicated to nodes
-  HashRing ring_;             // live nodes only
+  HashRing ring_;             // every configured node, fixed
+  // Monitor thread only: which peers (by index) have ever said hello, and
+  // when placement stops waiting for an owner that has not.
+  std::vector<bool> joined_;
+  std::int64_t join_deadline_ns_ = 0;
   // Replication version stamps; monitor thread only.
   std::uint64_t plan_ver_ = 0;
   std::unordered_map<std::uint64_t, std::uint64_t> plan_ver_by_key_;

@@ -91,15 +91,27 @@ class Grid3 {
   void fill(T value) { storage_.fill(value); }
 
   // Fills every logical point with a deterministic pseudo-random value in
-  // [lo, hi); padding stays untouched. Identical for identical seeds and
-  // dimensions, independent of pitch.
+  // [lo, hi); padding stays untouched. Logical point i (x fastest, pitch
+  // excluded) gets the i-th draw of SplitMix64(seed).uniform(lo, hi), so
+  // the fill is identical for identical seeds and dimensions, independent
+  // of pitch. Each value is computed from its index (SplitMix64::at); the
+  // fixed-length inner loop carries no state and vectorizes.
   void fill_random(std::uint64_t seed, T lo = T(0), T hi = T(1)) {
-    SplitMix64 rng(seed);
+    const double dlo = static_cast<double>(lo);
+    const double span = static_cast<double>(hi) - dlo;
+    const auto value = [&](std::uint64_t i) {
+      return static_cast<T>(dlo + span * SplitMix64::unit(SplitMix64::at(seed, i)));
+    };
+    constexpr long kBlock = 16;
     for (long z = 0; z < nz_; ++z)
       for (long y = 0; y < ny_; ++y) {
         T* r = row(y, z);
-        for (long x = 0; x < nx_; ++x)
-          r[x] = static_cast<T>(rng.uniform(static_cast<double>(lo), static_cast<double>(hi)));
+        const auto i0 = static_cast<std::uint64_t>((z * ny_ + y) * nx_);
+        long x = 0;
+        for (; x + kBlock <= nx_; x += kBlock)
+          for (long k = 0; k < kBlock; ++k)
+            r[x + k] = value(i0 + static_cast<std::uint64_t>(x + k));
+        for (; x < nx_; ++x) r[x] = value(i0 + static_cast<std::uint64_t>(x));
       }
   }
 

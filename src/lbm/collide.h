@@ -169,8 +169,10 @@ struct CollideCtx {
 //                    t-1, indexable with global x (dy, dz in [-1, 1]).
 //   dst(i)         — T* row of distribution i at (y, z) at time t.
 //
-// Pure-fluid intervals (from geom.pure_fluid_spans) run vectorized; all
-// remaining cells take the scalar flag-checking path.
+// Pure-fluid intervals (from geom.pure_fluid_spans) run vectorized, their
+// edges by simd::row_edges (an overlapping head and tail vector; dst never
+// aliases src); all remaining cells, and spans narrower than one vector,
+// take the scalar flag-checking path.
 template <typename T, typename Tag, bool UseFma, typename SrcRow, typename DstRow>
 inline void lbm_update_row_impl(const Geometry& geom, const CollideCtx<T>& ctx,
                                 const SrcRow& src, const DstRow& dst,
@@ -230,9 +232,11 @@ inline void lbm_update_row_impl(const Geometry& geom, const CollideCtx<T>& ctx,
     const long sa = s.begin > x ? s.begin : x;
     const long sb = s.end < x1 ? s.end : x1;
     for (; x < sa; ++x) scalar_cell(x);
-    long v = sa;
-    for (; v + V::width <= sb; v += V::width) vector_chunk(v);
-    for (; v < sb; ++v) scalar_cell(v);
+    // vector_chunk stores unaligned; dst(0) only steers the body onto
+    // aligned addresses, which the other 18 rows share (one padded pitch).
+    const simd::RowBody body =
+        simd::row_edges<V>(dst(0), sa, sb, scalar_cell, vector_chunk);
+    for (long v = body.begin; v < body.end; v += V::width) vector_chunk(v);
     x = sb;
   }
   for (; x < x1; ++x) scalar_cell(x);

@@ -368,6 +368,13 @@ int JobLedger::attempts(std::uint64_t id) const {
   return rec == nullptr ? 0 : rec->attempts;
 }
 
+double JobLedger::queue_wait_s(std::uint64_t id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const Record* rec = find_locked(id);
+  if (rec == nullptr || rec->dispatch_ns == 0) return 0.0;
+  return static_cast<double>(rec->dispatch_ns - rec->submit_ns) * 1e-9;
+}
+
 void JobLedger::shed_expired() {
   std::lock_guard<std::mutex> lock(mu_);
   for (const std::uint64_t id : queue_.take_expired(now_ns())) {

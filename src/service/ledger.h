@@ -147,6 +147,10 @@ class JobLedger {
   void note_poison(std::uint64_t id);
   // Dispatch attempts so far; 0 for unknown ids.
   int attempts(std::uint64_t id) const;
+  // Seconds from submit to the job's latest dispatch; 0 for unknown or
+  // never-dispatched ids. A peer plane adds it to the wait its peer
+  // reports, which covers only the peer's own queue.
+  double queue_wait_s(std::uint64_t id) const;
 
   // Realizes kExpired for queued jobs whose deadline already passed.
   void shed_expired();

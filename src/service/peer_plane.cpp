@@ -179,6 +179,9 @@ void PeerPlane::on_result(Peer& p, const std::string& payload) {
     if (it == p.jobs.end()) return;  // stale frame from a previous assignment
     p.jobs.erase(it);
   }
+  // The peer measured only its own queue; before that the job waited in
+  // this ledger's, so a client's wait covers every layer it went through.
+  r.wait_s += ledger_.queue_wait_s(id);
   // Integrity escalation: the peer's in-process ladder (audits, ring
   // sentinels, re-execution) gave up, so its address space is not trusted
   // anymore. Fail the job over and retire the peer; only a genuinely

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 
 #include "common/check.h"
@@ -405,6 +406,57 @@ inline V neg_mul_add(V a, V b, V c) {
   } else {
     return c - a * b;
   }
+}
+
+// The aligned body of a row span that simd::row_edges leaves to its caller:
+// whole vectors over [begin, end), dst + begin vector-aligned.
+struct RowBody {
+  long begin = 0;
+  long end = 0;
+};
+
+// The row-edge rule shared by every vector row loop (the stencil row
+// kernels and the LBM pure-fluid span). A span [x0, x1) of at least
+// V::width cells runs as
+//
+//   head   one unaligned vector at x0, unless dst + x0 is vector-aligned;
+//   body   whole vectors from the first aligned dst address on, so the
+//          caller's aligned or streaming stores stay legal;
+//   tail   one unaligned vector ending at x1, unless the body reaches it.
+//
+// row_edges runs the head and the tail through edge(x) (one vector at x,
+// stored unaligned) and returns the body, which the caller loops over in
+// its own frame. Spans narrower than one vector run scalar(x) cell by cell
+// and return an empty body; the width-1 backend is all body. The helper
+// and both callbacks are forced inline: a callback left out of line would
+// take the address of the caller's captured locals, and every vector
+// store in the body loop (vector types may alias anything) would then
+// reload them from the stack.
+//
+// Head and tail overlap the body and write some of its cells twice, with
+// the same values, in whatever order. That is idempotent only because dst
+// never aliases a row the kernel reads (Jacobi grid pairs, ring slot
+// t-1 -> t, LBM src -> dst).
+template <typename V, typename T, typename Scalar, typename Edge>
+[[gnu::always_inline, gnu::flatten]] inline RowBody row_edges(const T* dst, long x0,
+                                                               long x1, Scalar&& scalar,
+                                                               Edge&& edge) {
+  constexpr long W = V::width;
+  if (x1 - x0 < W) {
+    for (long x = x0; x < x1; ++x) scalar(x);
+    return {x1, x1};
+  }
+  constexpr std::size_t kVecBytes = sizeof(T) * static_cast<std::size_t>(W);
+  const long skew = static_cast<long>(
+      reinterpret_cast<std::uintptr_t>(dst + x0) % kVecBytes / sizeof(T));
+  long xa = x0;
+  if (skew != 0) {
+    edge(x0);
+    xa = x0 + (W - skew);
+  }
+  const long xb = xa + (x1 - xa) / W * W;
+  if (xb < x1) edge(x1 - W);
+  return {xa, xb};
 }
 
 // Read prefetch into all cache levels. Prefetches never fault, so callers

@@ -15,8 +15,6 @@
 #pragma once
 
 #include <concepts>
-#include <cstddef>
-#include <cstdint>
 
 #include "simd/simd.h"
 
@@ -64,15 +62,16 @@ struct Stencil7 {
     return V::set1(alpha) * V::loadu(c + x) + V::set1(beta) * sum;
   }
 
-  // Interior fast path for one row: scalar peel until dst is vector-aligned,
-  // then a UxW unrolled body (U = simd::pref_unroll<V> independent
-  // dependency chains — 4 on the 16-register backends, 8 on AVX-512) with
-  // aligned or streaming stores and optional prefetch of the next ring-slot
-  // rows. The wide unroll only pays off for real vector widths, so the
-  // scalar backend (W=1) skips it and keeps the simple loop the compiler can
-  // still auto-vectorize. With UseFma=false this is bit-identical to
-  // update_row (the beta*sum + alpha*c commutation is exact in IEEE
-  // arithmetic); with UseFma=true the outer add fuses into one rounding.
+  // Interior fast path for one row, edges by simd::row_edges: an unaligned
+  // head vector, a UxW unrolled aligned body (U = simd::pref_unroll<V>
+  // independent dependency chains — 4 on the 16-register backends, 8 on
+  // AVX-512) with aligned or streaming stores and optional prefetch of the
+  // next ring-slot rows, and an overlapping tail vector. The wide unroll
+  // only pays off for real vector widths, so the scalar backend (W=1) skips
+  // it and keeps the simple loop the compiler can still auto-vectorize.
+  // With UseFma=false this is bit-identical to update_row (the
+  // beta*sum + alpha*c commutation is exact in IEEE arithmetic); with
+  // UseFma=true the outer add fuses into one rounding.
   template <typename V, bool UseFma, typename Acc>
   void row_fast(const Acc& acc, T* dst, long x0, long x1,
                 const RowFastOpts& opt) const {
@@ -93,15 +92,13 @@ struct Stencil7 {
       return simd::mul_add<UseFma>(vb, sum, va * V::loadu(c + xx));
     };
 
-    constexpr std::size_t kVecBytes = sizeof(T) * static_cast<std::size_t>(V::width);
-    long x = x0;
-    while (x < x1 && (reinterpret_cast<std::uintptr_t>(dst + x) % kVecBytes) != 0) {
-      dst[x] = point(acc, x);
-      ++x;
-    }
+    const simd::RowBody body = simd::row_edges<V>(
+        dst, x0, x1, [&](long xx) { dst[xx] = point(acc, xx); },
+        [&](long xx) { cell(xx).storeu(dst + xx); });
+    long x = body.begin;
     if constexpr (V::width > 1) {
       constexpr int kU = simd::pref_unroll<V>;
-      for (; x + kU * V::width <= x1; x += kU * V::width) {
+      for (; x + kU * V::width <= body.end; x += kU * V::width) {
         V r[kU];
 #pragma GCC unroll 8
         for (int u = 0; u < kU; ++u) r[u] = cell(x + u * V::width);
@@ -116,7 +113,7 @@ struct Stencil7 {
         }
       }
     }
-    for (; x + V::width <= x1; x += V::width) {
+    for (; x < body.end; x += V::width) {
       const V r = cell(x);
       if (opt.stream) {
         r.stream(dst + x);
@@ -124,7 +121,6 @@ struct Stencil7 {
         r.store(dst + x);
       }
     }
-    for (; x < x1; ++x) dst[x] = point(acc, x);
   }
 
   // Y unroll-and-jam: rows y and y+1 in one x pass. The center-plane rows
@@ -148,17 +144,8 @@ struct Stencil7 {
     const T* pf0 = static_cast<const T*>(opt.pf0);
     const T* pf1 = static_cast<const T*>(opt.pf1);
 
-    constexpr std::size_t kVecBytes = sizeof(T) * static_cast<std::size_t>(V::width);
-    long x = x0;
-    // Peel to dst0's alignment class; dst1 shares it whenever the row pitch
-    // is a multiple of the vector width (callers guarantee this — padded
-    // pitches are cache-line multiples).
-    while (x < x1 && (reinterpret_cast<std::uintptr_t>(dst0 + x) % kVecBytes) != 0) {
-      dst0[x] = point(acc, x);
-      dst1[x] = point_shifted(acc, x);
-      ++x;
-    }
-    for (; x + V::width <= x1; x += V::width) {
+    // Both rows' vectors at x: r[0] for row y, r[1] for row y+1.
+    auto pair = [&](long x, V (&r)[2]) {
       const V m0 = V::loadu(c0 + x);  // row y center: shared with row y+1's ym
       const V m1 = V::loadu(c1 + x);  // row y+1 center: shared with row y's yp
       const V sum0 = ((V::loadu(c0 + x - 1) + V::loadu(c0 + x + 1)) +
@@ -167,21 +154,37 @@ struct Stencil7 {
       const V sum1 = ((V::loadu(c1 + x - 1) + V::loadu(c1 + x + 1)) +
                       (m0 + V::loadu(yp + x))) +
                      (V::loadu(zm1 + x) + V::loadu(zp1 + x));
-      const V r0 = simd::mul_add<UseFma>(vb, sum0, va * m0);
-      const V r1 = simd::mul_add<UseFma>(vb, sum1, va * m1);
+      r[0] = simd::mul_add<UseFma>(vb, sum0, va * m0);
+      r[1] = simd::mul_add<UseFma>(vb, sum1, va * m1);
+    };
+    // Edges follow dst0's alignment; the aligned body's dst1 stores need
+    // the same alignment class, which holds whenever the row pitch is a
+    // multiple of the vector width (callers guarantee this — padded
+    // pitches are cache-line multiples).
+    const simd::RowBody body = simd::row_edges<V>(
+        dst0, x0, x1,
+        [&](long x) {
+          dst0[x] = point(acc, x);
+          dst1[x] = point_shifted(acc, x);
+        },
+        [&](long x) {
+          V r[2];
+          pair(x, r);
+          r[0].storeu(dst0 + x);
+          r[1].storeu(dst1 + x);
+        });
+    for (long x = body.begin; x < body.end; x += V::width) {
+      V r[2];
+      pair(x, r);
       if (pf0 != nullptr) simd::prefetch_ro(pf0 + x + opt.pf_dist);
       if (pf1 != nullptr) simd::prefetch_ro(pf1 + x + opt.pf_dist);
       if (opt.stream) {
-        r0.stream(dst0 + x);
-        r1.stream(dst1 + x);
+        r[0].stream(dst0 + x);
+        r[1].stream(dst1 + x);
       } else {
-        r0.store(dst0 + x);
-        r1.store(dst1 + x);
+        r[0].store(dst0 + x);
+        r[1].store(dst1 + x);
       }
-    }
-    for (; x < x1; ++x) {
-      dst0[x] = point(acc, x);
-      dst1[x] = point_shifted(acc, x);
     }
   }
 
@@ -295,13 +298,10 @@ struct Stencil27 {
       return simd::mul_add<UseFma>(vc, corners, t1);
     };
 
-    constexpr std::size_t kVecBytes = sizeof(T) * static_cast<std::size_t>(V::width);
-    long x = x0;
-    while (x < x1 && (reinterpret_cast<std::uintptr_t>(dst + x) % kVecBytes) != 0) {
-      dst[x] = point(acc, x);
-      ++x;
-    }
-    for (; x + V::width <= x1; x += V::width) {
+    const simd::RowBody body = simd::row_edges<V>(
+        dst, x0, x1, [&](long x) { dst[x] = point(acc, x); },
+        [&](long x) { cell(x).storeu(dst + x); });
+    for (long x = body.begin; x < body.end; x += V::width) {
       const V r = cell(x);
       if (pf0 != nullptr) simd::prefetch_ro(pf0 + x + opt.pf_dist);
       if (pf1 != nullptr) simd::prefetch_ro(pf1 + x + opt.pf_dist);
@@ -311,7 +311,6 @@ struct Stencil27 {
         r.store(dst + x);
       }
     }
-    for (; x < x1; ++x) dst[x] = point(acc, x);
   }
 };
 
@@ -346,35 +345,31 @@ Stencil27<T> default_stencil27() {
                       static_cast<T>(0.0075)};
 }
 
-// Applies a kernel to one row segment [x0, x1): vector main loop with a
-// scalar tail, writing through `dst` (global-x indexable).
+// Applies a kernel to one row segment [x0, x1) by the row-edge rule
+// (simd::row_edges), writing through `dst` (global-x indexable) with
+// aligned stores on the body. dst must not alias a row the kernel reads.
 template <typename V, typename S, typename Acc, typename T>
 inline void update_row(const S& s, const Acc& acc, T* dst, long x0, long x1) {
-  long x = x0;
-  for (; x + V::width <= x1; x += V::width) {
-    s.template point_v<V>(acc, x).storeu(dst + x);
-  }
-  for (; x < x1; ++x) dst[x] = s.point(acc, x);
+  const simd::RowBody body = simd::row_edges<V>(
+      dst, x0, x1, [&](long x) { dst[x] = s.point(acc, x); },
+      [&](long x) { s.template point_v<V>(acc, x).storeu(dst + x); });
+  for (long x = body.begin; x < body.end; x += V::width)
+    s.template point_v<V>(acc, x).store(dst + x);
 }
 
 // Like update_row but uses non-temporal (streaming) stores for the aligned
-// middle of the segment, eliminating the write-allocate fetch the paper
+// body of the segment, eliminating the write-allocate fetch the paper
 // calls out in Section IV-A1. Values are identical to update_row; only the
-// store instruction differs. The caller must issue simd::stream_fence()
-// before the data is handed to another thread.
+// store instruction differs (head and tail vectors store normally). The
+// caller must issue simd::stream_fence() before the data is handed to
+// another thread.
 template <typename V, typename S, typename Acc, typename T>
 inline void update_row_stream(const S& s, const Acc& acc, T* dst, long x0, long x1) {
-  constexpr std::size_t kVecBytes = sizeof(T) * static_cast<std::size_t>(V::width);
-  // Scalar head until dst + x is vector-aligned.
-  long x = x0;
-  while (x < x1 && (reinterpret_cast<std::uintptr_t>(dst + x) % kVecBytes) != 0) {
-    dst[x] = s.point(acc, x);
-    ++x;
-  }
-  for (; x + V::width <= x1; x += V::width) {
+  const simd::RowBody body = simd::row_edges<V>(
+      dst, x0, x1, [&](long x) { dst[x] = s.point(acc, x); },
+      [&](long x) { s.template point_v<V>(acc, x).storeu(dst + x); });
+  for (long x = body.begin; x < body.end; x += V::width)
     s.template point_v<V>(acc, x).stream(dst + x);
-  }
-  for (; x < x1; ++x) dst[x] = s.point(acc, x);
 }
 
 // Satisfied by kernels that provide the register-blocked fast path above.

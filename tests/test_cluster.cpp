@@ -91,11 +91,14 @@ BoundNode bind_node() {
   return b;
 }
 
-pid_t fork_node(const BoundNode& b, NodeOptions opts) {
+// hello_delay_ms > 0: the node starts serving (and so says hello) that
+// long after the fork; its port accepts connections meanwhile.
+pid_t fork_node(const BoundNode& b, NodeOptions opts, int hello_delay_ms = 0) {
   opts.name = b.address;
   const pid_t pid = ::fork();
   if (pid == 0) {
     static std::atomic<bool> never{false};
+    if (hello_delay_ms > 0) ::usleep(static_cast<useconds_t>(hello_delay_ms) * 1000);
     ::_exit(cluster::serve_node(b.lfd, opts, &never));
   }
   ::close(b.lfd);
@@ -438,6 +441,87 @@ TEST(ClusterTest, SequentialTinyJobsAreNotPacedByTheNodeRound) {
                       .count();
   EXPECT_LT(ms, 125) << "10 round trips took " << ms << " ms";
   router.shutdown();
+  reap_node(pid);
+}
+
+// Placement follows the configured ring, not the order in which nodes say
+// hello. The shape's owner says hello 300 ms late; the other node is up at
+// once and armed to die at its first pass, so a job placed on it shows as
+// a node death and a failover. The job must wait for its owner instead.
+TEST(ClusterTest, PlacementWaitsForAnOwnerThatSaysHelloLate) {
+  const JobSpec spec = cluster_spec();
+  const BoundNode a = bind_node();
+  const BoundNode b = bind_node();
+  cluster::HashRing ring(64);
+  ring.add(a.address);
+  ring.add(b.address);
+  const bool a_owns = ring.owner(spec.shape_key()) == a.address;
+
+  NodeOptions nopts;
+  nopts.beat_ms = 20;
+  nopts.service = node_service_options();
+  NodeOptions killer = nopts;
+  killer.kill_at_pass = 0;
+  const pid_t pid_a = fork_node(a, a_owns ? nopts : killer, a_owns ? 300 : 0);
+  const pid_t pid_b = fork_node(b, a_owns ? killer : nopts, a_owns ? 0 : 300);
+
+  RouterOptions ropts;
+  ropts.nodes = {a.address, b.address};
+  ropts.beat_ms = 20;
+  ropts.connect_timeout_ms = 2000;
+  ropts.vnodes = 64;
+  Router router(ropts);
+  const auto id = router.submit(spec);
+  ASSERT_TRUE(id.ok()) << id.status().to_string();
+  const auto done = router.wait(id.value(), 60000);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->state, JobState::kDone) << done->result.message;
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.worker_deaths, 0u) << "the job ran on the node that said hello first";
+  EXPECT_EQ(stats.failovers, 0u);
+  router.shutdown();
+  reap_node(pid_a);
+  reap_node(pid_b);
+}
+
+// The wait for a late owner is bounded: an owner whose port accepts but
+// which never says hello holds its shapes only until the join deadline
+// (max(100, connect_timeout_ms) after the router starts); then the ring
+// successor serves them.
+TEST(ClusterTest, PlacementFailsOverFromAnOwnerThatNeverSaysHello) {
+  const JobSpec spec = cluster_spec();
+  const BoundNode a = bind_node();
+  const BoundNode b = bind_node();
+  cluster::HashRing ring(64);
+  ring.add(a.address);
+  ring.add(b.address);
+  const bool a_owns = ring.owner(spec.shape_key()) == a.address;
+  const BoundNode& silent = a_owns ? a : b;
+
+  NodeOptions nopts;
+  nopts.beat_ms = 20;
+  nopts.service = node_service_options();
+  const pid_t pid = fork_node(a_owns ? b : a, nopts);
+
+  RouterOptions ropts;
+  ropts.nodes = {a.address, b.address};
+  ropts.beat_ms = 20;
+  ropts.connect_timeout_ms = 300;
+  ropts.vnodes = 64;
+  const auto t0 = std::chrono::steady_clock::now();
+  Router router(ropts);
+  const auto id = router.submit(spec);
+  ASSERT_TRUE(id.ok()) << id.status().to_string();
+  const auto done = router.wait(id.value(), 60000);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->state, JobState::kDone) << done->result.message;
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  EXPECT_GE(ms, 300) << "the job did not wait for its owner";
+  EXPECT_LT(ms, 30000);
+  router.shutdown();
+  ::close(silent.lfd);
   reap_node(pid);
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <cstring>
 
 #include "grid/grid3.h"
 
@@ -52,6 +54,41 @@ TEST(Grid3, FillRandomIsPitchIndependentAndDeterministic) {
   EXPECT_EQ(count_mismatches(a, b), 0);
   b.fill_random(124);
   EXPECT_GT(count_mismatches(a, b), 0);
+}
+
+// fill_random is counter-based, but it must yield exactly the stream a
+// plain sequential SplitMix64::uniform loop yields in x-fastest logical
+// order: every test's and every job's input (and the served CRCs) rest on
+// it. Odd shapes put the row ends off the vector width and pad the pitch.
+template <typename T>
+void expect_fill_matches_sequential(long nx, long ny, long nz, std::uint64_t seed, T lo,
+                                    T hi) {
+  Grid3<T> g(nx, ny, nz);
+  g.fill_random(seed, lo, hi);
+  SplitMix64 rng(seed);
+  long bad = 0;
+  for (long z = 0; z < nz; ++z)
+    for (long y = 0; y < ny; ++y) {
+      const T* r = g.row(y, z);
+      for (long x = 0; x < nx; ++x) {
+        const T want = static_cast<T>(
+            rng.uniform(static_cast<double>(lo), static_cast<double>(hi)));
+        if (std::memcmp(&r[x], &want, sizeof(T)) != 0) ++bad;
+      }
+      for (long x = nx; x < g.pitch(); ++x)
+        if (r[x] != T(0)) ++bad;  // padding stays untouched
+    }
+  EXPECT_EQ(bad, 0) << nx << "x" << ny << "x" << nz << " pitch " << g.pitch();
+}
+
+TEST(Grid3, FillRandomMatchesSequentialSplitMix64) {
+  for (const auto& d : {std::array<long, 3>{7, 5, 3}, std::array<long, 3>{33, 17, 9},
+                        std::array<long, 3>{96, 64, 64}}) {
+    expect_fill_matches_sequential<float>(d[0], d[1], d[2], 42, -1.0f, 1.0f);
+    expect_fill_matches_sequential<double>(d[0], d[1], d[2], 42, -1.0, 1.0);
+    expect_fill_matches_sequential<float>(d[0], d[1], d[2], 7, 0.0f, 1.0f);
+    expect_fill_matches_sequential<double>(d[0], d[1], d[2], 0xDEADBEEFull, -3.0, 5.0);
+  }
 }
 
 TEST(Grid3, CopyFrom) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "lbm/sweeps.h"
+#include "simd/dispatch.h"
 
 namespace s35::lbm {
 namespace {
@@ -272,6 +275,83 @@ TEST(LbmPhysics, RestStateIsStationary) {
             worst = std::max(worst, std::abs(static_cast<double>(
                                         pair.src().at(i, x, y, z) - weight<float>(i))));
     EXPECT_LT(worst, 1e-6) << to_string(v);
+  }
+}
+
+// Row-edge rule in the pure-fluid span loop (simd::row_edges: unaligned
+// head vector, aligned body, overlapping tail vector). For every row width
+// 3..70, every test geometry (box walls, lid, obstacle), BGK and TRT, and
+// x ranges that cut the spans, lbm_update_row on each vector backend this
+// run may dispatch to reproduces its ScalarTag instantiation bit for bit
+// and leaves every cell outside [x0, x1) untouched. Under S35_ISA the
+// backends above the forced one are skipped.
+template <typename T, typename Tag>
+void expect_rows_match_scalar(long nx) {
+  constexpr long ny = 5, nz = 5;
+  const T sentinel = T(-7777);
+  for (const int shape : {0, 1, 2}) {  // box walls, + lid, + obstacle
+    Geometry geom(nx, ny, nz);
+    geom.set_box_walls();
+    if (shape == 1) geom.set_lid();
+    if (shape == 2) geom.set_solid_box(nx / 2, nx / 2 + 1, 2, 3, 2, 3);
+    geom.finalize();
+    Lattice<T> src(nx, ny, nz), want(nx, ny, nz), got(nx, ny, nz);
+    perturb(src);
+    for (const bool trt : {false, true}) {
+      BgkParams<T> prm;
+      prm.omega = T(1.3);
+      prm.u_wall[0] = T(0.05);
+      prm.force[0] = T(1e-5);
+      if (trt) prm.trt_magic = T(3) / T(16);
+      const CollideCtx<T> ctx = make_collide_ctx(prm);
+      for (long z = 1; z < nz - 1; ++z)
+        for (long y = 1; y < ny - 1; ++y)
+          for (const long x0 : {0L, 1L, 2L})
+            for (const long x1 : {nx, nx - 1}) {
+              if (x0 >= x1) continue;
+              for (int i = 0; i < kQ; ++i) {
+                std::fill_n(want.row(i, y, z), want.pitch(), sentinel);
+                std::fill_n(got.row(i, y, z), got.pitch(), sentinel);
+              }
+              const auto in = [&](int i, int dy, int dz) -> const T* {
+                return src.row(i, y + dy, z + dz);
+              };
+              lbm_update_row<T, simd::ScalarTag>(
+                  geom, ctx, in, [&](int i) { return want.row(i, y, z); }, y, z, x0, x1);
+              lbm_update_row<T, Tag>(
+                  geom, ctx, in, [&](int i) { return got.row(i, y, z); }, y, z, x0, x1);
+              for (int i = 0; i < kQ; ++i) {
+                const T* w = want.row(i, y, z);
+                const T* g = got.row(i, y, z);
+                for (long x = 0; x < got.pitch(); ++x) {
+                  const bool same = std::memcmp(&w[x], &g[x], sizeof(T)) == 0;
+                  const bool untouched = (x >= x0 && x < x1) ||
+                                         std::memcmp(&g[x], &sentinel, sizeof(T)) == 0;
+                  ASSERT_TRUE(same && untouched)
+                      << simd::Vec<T, Tag>::name << " nx=" << nx << " shape " << shape
+                      << (trt ? " TRT" : " BGK") << " row (" << y << "," << z
+                      << ") span [" << x0 << "," << x1 << ") f" << i << " x=" << x;
+                }
+              }
+            }
+    }
+  }
+}
+
+TEST(LbmRowEdges, VectorRowsMatchScalarBitExact) {
+  for (const simd::Isa isa :
+       {simd::Isa::kSse, simd::Isa::kAvx, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    if (!simd::isa_available(isa) ||
+        static_cast<int>(isa) > static_cast<int>(simd::dispatch_isa()))
+      continue;
+    simd::dispatch(isa, [&](auto tag) {
+      using Tag = decltype(tag);
+      for (long nx = 3; nx <= 70; ++nx) {
+        expect_rows_match_scalar<float, Tag>(nx);
+        expect_rows_match_scalar<double, Tag>(nx);
+        if (HasFatalFailure()) return;
+      }
+    });
   }
 }
 

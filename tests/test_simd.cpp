@@ -3,10 +3,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/aligned_buffer.h"
+#include "common/rng.h"
 #include "simd/simd.h"
+#include "stencil/stencil_kernels.h"
 
 namespace s35::simd {
 namespace {
@@ -198,6 +201,148 @@ TEST(Simd, PrefUnrollScalesWithRegisterFile) {
   EXPECT_EQ((pref_unroll<Vec<float, Avx512Tag>>), 8);
   EXPECT_EQ((pref_unroll<Vec<double, Avx512Tag>>), 8);
 #endif
+}
+
+// ------------------------------------------------------------ row edges --
+// Every stencil row loop splits its span by simd::row_edges: an unaligned
+// head vector, an aligned body and an overlapping tail vector. These tests
+// run every span width 1..70 at every dst alignment offset 0..15, with
+// streaming stores on and off, on every compiled backend: each written
+// cell must carry the scalar point()'s bits (FMA off), and every cell
+// outside [x0, x1) must keep its sentinel.
+
+template <typename V>
+class RowEdgeTest : public ::testing::Test {};
+TYPED_TEST_SUITE(RowEdgeTest, VecTypes);
+
+// Source rows for dz in [-1, 1] and dy in [-1, 2] (rows2_fast reads dy 2).
+template <typename T>
+struct EdgeRows {
+  static constexpr long kLen = 96;
+  std::vector<AlignedBuffer<T>> rows;
+
+  EdgeRows() {
+    SplitMix64 rng(2024);
+    for (int r = 0; r < 12; ++r) {
+      rows.emplace_back(static_cast<std::size_t>(kLen));
+      for (long x = 0; x < kLen; ++x)
+        rows.back()[static_cast<std::size_t>(x)] = static_cast<T>(rng.uniform(-1.0, 1.0));
+    }
+  }
+  // Accessor of the row pair's first row (dy = 0) or, shifted, its second.
+  auto acc(int shift) const {
+    return [this, shift](int dz, int dy) -> const T* {
+      return rows[static_cast<std::size_t>((dz + 1) * 4 + dy + shift + 1)].data();
+    };
+  }
+};
+
+template <typename T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+// run(dst0, dst1, x0, x1, stream) writes [x0, x1) of one row (two for a
+// pair kernel); ref(row, x) is the scalar value of cell x of that row.
+template <typename T, typename Run, typename Ref>
+void check_every_span(const std::string& what, int out_rows, const Run& run,
+                      const Ref& ref) {
+  constexpr long kGuard = 16;
+  constexpr long kOut = 128;  // guard + offset 15 + width 70 + guard
+  const T sentinel = T(-7777);
+  AlignedBuffer<T> out[2] = {AlignedBuffer<T>(kOut), AlignedBuffer<T>(kOut)};
+  for (const bool stream : {false, true}) {
+    for (long off = 0; off < 16; ++off) {
+      for (long w = 1; w <= 70; ++w) {
+        const long x0 = 1 + off % 3;
+        const long x1 = x0 + w;
+        out[0].fill(sentinel);
+        out[1].fill(sentinel);
+        // dst + x0 sits `off` elements past a 64-byte aligned address.
+        T* dst0 = out[0].data() + (kGuard + off - x0);
+        T* dst1 = out[1].data() + (kGuard + off - x0);
+        run(dst0, dst1, x0, x1, stream);
+        stream_fence();
+        for (int r = 0; r < out_rows; ++r) {
+          for (long i = 0; i < kOut; ++i) {
+            const long x = i - kGuard - off + x0;
+            const T want = x >= x0 && x < x1 ? ref(r, x) : sentinel;
+            if (!same_bits(out[r][static_cast<std::size_t>(i)], want)) {
+              ADD_FAILURE() << what << ": row " << r << " x=" << x << " span [" << x0
+                            << "," << x1 << ") dst offset " << off
+                            << " stream=" << stream;
+              return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(RowEdgeTest, Stencil7RowLoopsMatchScalarPoint) {
+  using V = TypeParam;
+  using T = typename V::value_type;
+  const EdgeRows<T> in;
+  const auto acc = in.acc(0);
+  const auto acc1 = in.acc(1);
+  const auto s = stencil::default_stencil7<T>();
+  const auto ref = [&](int r, long x) { return r == 0 ? s.point(acc, x) : s.point(acc1, x); };
+
+  check_every_span<T>(
+      "7pt row_fast", 1,
+      [&](T* d, T*, long x0, long x1, bool stream) {
+        stencil::RowFastOpts opt;
+        opt.stream = stream;
+        s.template row_fast<V, false>(acc, d, x0, x1, opt);
+      },
+      ref);
+  check_every_span<T>(
+      "7pt rows2_fast", 2,
+      [&](T* d0, T* d1, long x0, long x1, bool stream) {
+        stencil::RowFastOpts opt;
+        opt.stream = stream;
+        s.template rows2_fast<V, false>(acc, d0, d1, x0, x1, opt);
+      },
+      ref);
+  check_every_span<T>(
+      "7pt update_row", 1,
+      [&](T* d, T*, long x0, long x1, bool stream) {
+        if (stream) {
+          stencil::update_row_stream<V>(s, acc, d, x0, x1);
+        } else {
+          stencil::update_row<V>(s, acc, d, x0, x1);
+        }
+      },
+      ref);
+}
+
+TYPED_TEST(RowEdgeTest, Stencil27RowLoopsMatchScalarPoint) {
+  using V = TypeParam;
+  using T = typename V::value_type;
+  const EdgeRows<T> in;
+  const auto acc = in.acc(0);
+  const auto s = stencil::default_stencil27<T>();
+  const auto ref = [&](int, long x) { return s.point(acc, x); };
+
+  check_every_span<T>(
+      "27pt row_fast", 1,
+      [&](T* d, T*, long x0, long x1, bool stream) {
+        stencil::RowFastOpts opt;
+        opt.stream = stream;
+        s.template row_fast<V, false>(acc, d, x0, x1, opt);
+      },
+      ref);
+  check_every_span<T>(
+      "27pt update_row", 1,
+      [&](T* d, T*, long x0, long x1, bool stream) {
+        if (stream) {
+          stencil::update_row_stream<V>(s, acc, d, x0, x1);
+        } else {
+          stencil::update_row<V>(s, acc, d, x0, x1);
+        }
+      },
+      ref);
 }
 
 }  // namespace

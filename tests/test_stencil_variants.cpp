@@ -116,7 +116,7 @@ TEST(StencilVariants, BackendsAgreeBitExact) {
 #endif
 }
 
-// The interior fast path (alignment peel, register blocking, prefetch) is
+// The interior fast path (vector row edges, register blocking, prefetch) is
 // on by default, so every equivalence test above already exercises it; this
 // pins the off-switch: disabling it must not change a single bit. Odd
 // extents make the X span neither vector-width- nor unroll-multiple.
@@ -159,7 +159,7 @@ TEST(StencilVariants, FmaModeStaysWithinTolerance) {
 }
 
 // update_row must equal per-point evaluation for every span alignment
-// (vector body + scalar tail).
+// (vector head, aligned body, overlapping vector tail).
 TEST(UpdateRow, MatchesPointForAllSpanOffsets) {
   using V = simd::Vec<float, simd::DefaultTag>;
   const auto stencil = default_stencil7<float>();
@@ -181,9 +181,9 @@ TEST(UpdateRow, MatchesPointForAllSpanOffsets) {
   }
 }
 
-// The register-blocked fast path (scalar peel to alignment, 2xW unroll,
-// optional streaming stores) must produce the generic loop's bits for every
-// span offset and length.
+// The register-blocked fast path (vector head and tail, UxW unrolled
+// aligned body, optional streaming stores) must produce the generic loop's
+// bits for every span offset and length.
 TEST(UpdateRow, FastPathMatchesGenericForAllSpanOffsets) {
   using V = simd::Vec<float, simd::DefaultTag>;
   const auto stencil = default_stencil7<float>();

@@ -250,6 +250,34 @@ TEST(SupervisorTest, SequentialRoundTripsAreNotPacedByATick) {
   EXPECT_EQ(sup.stats().completed, 21u);
 }
 
+// A supervised job's wait_s covers the supervisor's queue as well as the
+// worker's: with one worker (a window of one job), the second of two jobs
+// submitted back to back sits in the supervisor's ledger for the whole of
+// the first job's run.
+TEST(SupervisorTest, WaitCoversTheSupervisorQueue) {
+  SupervisorOptions o = sup_options(1);
+  o.checkpoint_dir.clear();
+  Supervisor sup(o);
+  JobSpec spec;
+  spec.nx = 64;
+  spec.steps = 40;
+  spec.dim_x = 64;
+  spec.dim_y = 64;
+  spec.dim_t = 2;
+  const auto first = sup.submit(spec);
+  const auto second = sup.submit(spec);
+  ASSERT_TRUE(first.ok() && second.ok());
+  const auto a = sup.wait(first.value(), 60'000);
+  const auto b = sup.wait(second.value(), 60'000);
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  ASSERT_EQ(a->state, JobState::kDone) << a->result.message;
+  ASSERT_EQ(b->state, JobState::kDone) << b->result.message;
+  ASSERT_GT(a->result.run_s, 0.0);
+  EXPECT_GE(b->result.wait_s, 0.9 * a->result.run_s)
+      << "second job waited " << b->result.wait_s * 1e3 << " ms behind a "
+      << a->result.run_s * 1e3 << " ms run";
+}
+
 TEST(SupervisorTest, RejectsBadSpecs) {
   Supervisor sup(sup_options(1));
   JobSpec bad;
