@@ -42,7 +42,9 @@ fault::Status validate_spec(const JobSpec& spec, long max_points) {
   const long ny = spec.eff_ny(), nz = spec.eff_nz();
   if (spec.nx < 8 || ny < 8 || nz < 8)
     return {fault::ErrorCode::kMismatch, "grid dims must be >= 8"};
-  if (spec.nx * ny * nz > max_points)
+  long points = 0;
+  if (__builtin_mul_overflow(spec.nx, ny, &points) ||
+      __builtin_mul_overflow(points, nz, &points) || points > max_points)
     return {fault::ErrorCode::kMismatch, "grid exceeds max_points"};
   if (spec.steps < 1 || spec.steps > 1'000'000)
     return {fault::ErrorCode::kMismatch, "steps out of range"};

@@ -15,12 +15,14 @@
 // SIGPIPE (a dead peer surfaces as an error return, which is exactly the
 // signal the supervisor's death detection wants).
 //
-// Payload schemas (all flat JSON):
-//   kSubmit   {"job":N, <spec fields>, ["fk":p]["fs":p,"fsm":ms]["fe":p]}
+// Payload schemas (all flat JSON). Spec, result, plan-key and plan fields
+// are the plane-scope rows of the field tables in service/codec.h:
+//   kSubmit   {"job":N, <kSpecFields>, ["fk":p]["fs":p,"fsm":ms]["fe":p]}
 //             fk/fs/fe are injected process-fault passes (kill/stall/SDC),
 //             present only for the targeted worker's first incarnation.
 //   kCancel   {"job":N}
-//   kResult   {"job":N,"state":"done",...}   worker -> supervisor, terminal
+//   kResult   {"job":N,"state":S, <kResultFields>}  worker -> supervisor,
+//             terminal
 //   kBeat     {"job":N,"progress":P}         worker -> supervisor, periodic
 //             (nodes add "plan_hits"/"plan_misses" cache counters)
 //   kDrain    {}                             supervisor -> worker: finish
@@ -30,11 +32,11 @@
 //             identity + dispatch window (cluster plane only)
 //   kReject   {"error":"unavailable","message":...}  node -> router: typed
 //             refusal (node draining/stopping) instead of an abrupt EOF
-//   kPlanPush {"ver":V, <plan key+plan fields>}  router -> node replication
-//             (authoritative cache write-through) and node -> router with
-//             ver 0 when a node tuned a plan locally; "miss":true answers
-//             a pull that found nothing
-//   kPlanPull {<plan key fields>}             node -> router on cache miss
+//   kPlanPush {"ver":V, <kPlanKeyFields>, <kPlanFields>}  router -> node
+//             replication (authoritative cache write-through) and node ->
+//             router with ver 0 when a node tuned a plan locally;
+//             "miss":true answers a pull that found nothing
+//   kPlanPull {<kPlanKeyFields>}              node -> router on cache miss
 #pragma once
 
 #include <cstdint>
@@ -84,7 +86,8 @@ int drain_frames(int fd, std::string* acc, std::vector<Frame>* out);
 // ---- spec/result (de)serialization over the trusted wire ----------------
 // Unlike the client-facing NDJSON parser, these carry the full JobSpec —
 // including checkpoint_path/resume, which untrusted clients must never
-// control.
+// control. The *_from_json decoders are false when a required field is
+// missing or any field is malformed or out of its member's range.
 
 std::string spec_to_json(std::uint64_t job, const JobSpec& spec);
 bool spec_from_json(const std::string& s, std::uint64_t* job, JobSpec* spec);

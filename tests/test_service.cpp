@@ -15,6 +15,7 @@
 #include <cstring>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -280,6 +281,63 @@ TEST(PlanCacheTest, RejectsPreFamilyVersionAndStartsCold) {
     EXPECT_EQ(fresh.load(path).code(), fault::ErrorCode::kBadHeader);
     EXPECT_EQ(fresh.size(), 0u);  // cold start
   }
+}
+
+// Writes a plan-cache file of `version` whose payload is `lines`, with
+// correct header and payload CRCs.
+void write_plan_cache(const std::string& path, std::uint32_t version,
+                      const std::string& lines) {
+  struct {
+    char magic[8];
+    std::uint32_t version;
+    std::uint32_t count;
+    std::uint64_t payload_bytes;
+    std::uint32_t payload_crc;
+    std::uint32_t header_crc;
+  } h{};
+  std::memcpy(h.magic, "S35PLNC1", 8);
+  h.version = version;
+  h.payload_bytes = lines.size();
+  h.payload_crc = lines.empty() ? 0 : crc32c(lines.data(), lines.size());
+  h.header_crc = crc32c(&h, sizeof(h));
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(&h, sizeof(h), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(lines.data(), 1, lines.size(), f), lines.size());
+  std::fclose(f);
+}
+
+// Version 3 files hold fixed-width binary entries; version 4 holds one
+// plan-entry line per entry, so a v3 file is refused and the cache starts
+// cold.
+TEST(PlanCacheTest, RefusesFixedWidthVersion3Files) {
+  const std::string path = tmp_path("plan_cache_v3.bin");
+  write_plan_cache(path, 3, "");
+  PlanCache cache(4);
+  EXPECT_EQ(cache.load(path).code(), fault::ErrorCode::kBadHeader);
+  EXPECT_EQ(cache.size(), 0u);
+  std::remove(path.c_str());
+}
+
+// A line that does not decode, or decodes to a nonsense plan, is dropped;
+// the other entries still load.
+TEST(PlanCacheTest, DropsEntryLinesThatDoNotDecode) {
+  const std::string path = tmp_path("plan_cache_lines.bin");
+  const std::string key = R"("kernel":"7pt","nx":32,"ny":32,"nz":32)";
+  write_plan_cache(
+      path, 4,
+      "{\"hits\":2," + key + ",\"dimx\":16,\"dimy\":16,\"dimt\":2}\n" +
+          "{\"hits\":1," + key + ",\"cores\":9,\"dimx\":\"x\",\"dimy\":16}\n" +
+          "{\"hits\":1," + key + ",\"cores\":8,\"dimx\":16,\"dimy\":16,\"dimt\":0}\n" +
+          "{\"hits\":-1," + key + ",\"cores\":7,\"dimx\":16,\"dimy\":16}\n");
+  PlanCache cache(4);
+  ASSERT_TRUE(cache.load(path).ok());
+  const auto entries = cache.entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].key.nx, 32);
+  EXPECT_EQ(entries[0].plan.dim_t, 2);
+  EXPECT_EQ(entries[0].plan.hits, 2u);
+  std::remove(path.c_str());
 }
 
 TEST(PlanCacheTest, ComputePlanIsDeterministicAndFeasible) {
@@ -697,6 +755,32 @@ TEST(ServiceTest, ResumeWithoutPathIsRejected) {
   spec.steps = 2;
   spec.resume = true;
   EXPECT_EQ(svc.submit(spec).status().code(), fault::ErrorCode::kMismatch);
+}
+
+// nx*ny*nz is checked without overflow: 2^21 per edge is 2^63 points, which
+// wraps a signed long negative and would slip under any cap.
+TEST(ServiceTest, ValidateSpecRejectsPointCountsThatOverflow) {
+  JobSpec spec;
+  spec.nx = spec.ny = spec.nz = 2097152;
+  EXPECT_EQ(service::validate_spec(spec, 16L * 1024 * 1024).code(),
+            fault::ErrorCode::kMismatch);
+  spec.nz = 8;
+  spec.nx = spec.ny = 1L << 40;  // overflows at the first product
+  EXPECT_EQ(service::validate_spec(spec, std::numeric_limits<long>::max()).code(),
+            fault::ErrorCode::kMismatch);
+  spec.nx = spec.ny = spec.nz = 256;  // exactly at the cap
+  EXPECT_TRUE(service::validate_spec(spec, 256L * 256 * 256).ok());
+  EXPECT_FALSE(service::validate_spec(spec, 256L * 256 * 256 - 1).ok());
+}
+
+TEST(ProtocolTest, SubmitWithOverflowingGridIsATypedRejection) {
+  JobService svc(test_options());
+  bool shutdown = false;
+  const std::string r =
+      service::handle_line(svc, R"({"op":"submit","n":2097152})", &shutdown);
+  EXPECT_NE(r.find("\"error\":\"mismatch\""), std::string::npos) << r;
+  EXPECT_NE(r.find("max_points"), std::string::npos) << r;
+  EXPECT_EQ(svc.stats().submitted, 0u);
 }
 
 // --------------------------------------------------------------- protocol

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "grid/grid3.h"
 #include "machine/descriptor.h"
 #include "service/backend.h"
+#include "service/protocol.h"
 #include "service/service.h"
 #include "service/supervisor.h"
 #include "service/tenancy.h"
@@ -217,6 +219,33 @@ TEST(SupervisorTest, RunsJobsBitExactAcrossWorkers) {
   EXPECT_EQ(s.completed, 3u);
   EXPECT_EQ(s.worker_deaths, 0u);
   EXPECT_EQ(s.failovers, 0u);
+}
+
+// The CRC of a served job does not depend on the backend: a seed at the top
+// of the uint64 range reaches the worker intact, so one client line gives
+// the same CRC in process, through a one-worker supervisor and from a
+// direct run with that seed.
+TEST(SupervisorTest, FullRangeSeedGivesOneCrcOnEveryBackend) {
+  JobSpec spec;
+  spec.nx = 16;
+  spec.steps = 2;
+  spec.seed = 18446744073709551615ull;
+  char want[32];
+  std::snprintf(want, sizeof(want), "\"crc\":\"%08x\"", reference_crc(spec));
+  const auto crc_via = [](service::JobBackend& b) {
+    const std::string submit =
+        R"({"op":"submit","kernel":"7pt","n":16,"steps":2,"seed":18446744073709551615})";
+    bool shutdown = false;
+    EXPECT_EQ(service::handle_line(b, submit, &shutdown), R"({"ok":true,"id":1})");
+    const std::string r = service::handle_line(b, R"({"op":"wait","id":1})", &shutdown);
+    EXPECT_NE(r.find("\"state\":\"done\""), std::string::npos) << r;
+    const std::size_t at = r.find("\"crc\":");
+    return at == std::string::npos ? r : r.substr(at, 16);
+  };
+  JobService svc(worker_options());
+  EXPECT_EQ(crc_via(svc), want);
+  Supervisor sup(sup_options(1));
+  EXPECT_EQ(crc_via(sup), want);
 }
 
 // A worker ships its result when the job ends, not on a read timeout: 20
