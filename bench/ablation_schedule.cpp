@@ -130,19 +130,25 @@ int main(int argc, char** argv) {
   cfg.dim_x = std::min<long>(n, 96);
 
   {
-    Table t({"mode", "planes/instance", "barriers/outer-z", "Mupd/s"});
+    // Whole-plane tile: one tile, so the team always shares it and pays
+    // the barriers the table counts (more tiles than threads would run
+    // tile-per-thread, with no barriers at all).
+    Table t({"mode", "layout", "planes/instance", "barriers/outer-z", "Mupd/s"});
     for (int thr : {threads, 4}) {
       core::Engine35 engine(thr);
       auto par = cfg;
+      par.dim_x = par.dim_y = n;
       const double mp = run(n, steps, par, engine);
-      auto ser = cfg;
+      const std::string lp = core::to_string(engine.last_pass().layout);
+      auto ser = par;
       ser.serialized = true;
       const double ms = run(n, steps, ser, engine);
+      const std::string ls = core::to_string(engine.last_pass().layout);
       char label_p[48], label_s[48];
       std::snprintf(label_p, sizeof(label_p), "parallel rounds (%d thr)", thr);
       std::snprintf(label_s, sizeof(label_s), "serialized steps (%d thr)", thr);
-      t.add_row({label_p, "2R+2 = 4", "1", Table::fmt(mp, 0)});
-      t.add_row({label_s, "2R+1 = 3", "dim_t = 3", Table::fmt(ms, 0)});
+      t.add_row({label_p, lp, "2R+2 = 4", "1", Table::fmt(mp, 0)});
+      t.add_row({label_s, ls, "2R+1 = 3", "dim_t = 3", Table::fmt(ms, 0)});
     }
     t.print();
     std::puts(

@@ -51,6 +51,7 @@ struct Measurement {
   double seconds = 0.0;  // fastest rep
   double instrumented_seconds = 0.0;
   telemetry::Totals phases;
+  core::PassReport pass;  // the engine's last pass; rings == 0 if none ran
 };
 
 template <typename Fn>
@@ -79,9 +80,12 @@ Measurement measure_stencil7(stencil::Variant v, long n, int steps,
   const auto stencil = stencil::default_stencil7<T>();
   grid::GridPair<T> pair(n, n, n, engine.team());
   pair.src().fill_random(7, T(-1), T(1));
-  return measure_updates(
+  engine.forget_last_pass();
+  Measurement m = measure_updates(
       [&] { stencil::run_sweep_auto(v, stencil, pair, steps, cfg, engine); },
       static_cast<double>(n) * n * n * steps);
+  m.pass = engine.last_pass();
+  return m;
 }
 
 // Measures an LBM sweep in MLUPS on a lid-driven-cavity geometry.
@@ -97,15 +101,26 @@ Measurement measure_lbm(lbm::Variant v, long n, int steps, const lbm::SweepConfi
   prm.u_wall[0] = T(0.05);
   lbm::LatticePair<T> pair(n, n, n);
   pair.src().init_equilibrium();
-  return measure_updates(
+  engine.forget_last_pass();
+  Measurement m = measure_updates(
       [&] { lbm::run_lbm_auto(v, geom, prm, pair, steps, cfg, engine); },
       static_cast<double>(n) * n * n * steps);
+  m.pass = engine.last_pass();
+  return m;
 }
 
 // ------------------------------------------------------------- records --
 
 inline const char* precision_name(machine::Precision p) {
   return p == machine::Precision::kSingle ? "sp" : "dp";
+}
+
+// Copies the engine pass layout and ring footprint of `m` into `rec`.
+inline void attach_layout(telemetry::BenchRecord& rec, const Measurement& m) {
+  if (m.pass.rings == 0) return;
+  rec.layout = core::to_string(m.pass.layout);
+  rec.rings = m.pass.rings;
+  rec.ring_bytes = m.pass.ring_bytes;
 }
 
 // ------------------------------------------------------------ roofline --
@@ -213,6 +228,7 @@ telemetry::BenchRecord stencil_record(const char* kernel, stencil::Variant v,
   rec.mups = m.mups;
   rec.phases = m.phases;
   if (m.instrumented_seconds > 0) rec.extra["instrumented_s"] = m.instrumented_seconds;
+  attach_layout(rec, m);
 
   stencil_kappa_dim_t(v, cfg, n, radius, &rec.kappa, &rec.dim_t);
   const double e = sizeof(T);
@@ -251,6 +267,7 @@ telemetry::BenchRecord lbm_record(lbm::Variant v, machine::Precision prec, long 
   rec.mups = m.mups;
   rec.phases = m.phases;
   if (m.instrumented_seconds > 0) rec.extra["instrumented_s"] = m.instrumented_seconds;
+  attach_layout(rec, m);
 
   rec.kappa = 1.0;
   rec.dim_t = 1;

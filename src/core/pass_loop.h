@@ -3,15 +3,19 @@
 // and the per-rank passes of the distributed driver (core/distributed.h).
 //
 // `steps` time steps run as full passes of shape.dim_t plus one trailing
-// partial pass. One tiling, schedule and slab kernel (and thus one ring
-// buffer allocation) serve every full pass; only the trailing pass builds
-// its own. Each pass carries its ordinal in the integrity context, and with
-// `reexecute` a pass the monitor reports poisoned climbs the in-memory
-// re-execution rung.
+// partial pass. One tiling, schedule and set of slab kernels (and thus one
+// ring buffer allocation per kernel) serve every full pass; only the
+// trailing pass builds its own. The set is one kernel, or one per thread
+// when the engine runs the tiling tile-per-thread
+// (Engine35::tile_per_thread). Each pass carries its ordinal in the
+// integrity context, and with `reexecute` a pass the monitor reports
+// poisoned climbs the in-memory re-execution rung.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/schedule.h"
@@ -71,16 +75,20 @@ fault::Status run_passes(Pair& pair, int steps, const PassShape& shape,
   S35_CHECK(steps >= 0 && shape.dim_t >= 1);
   const long nx = pair.src().nx(), ny = pair.src().ny(), nz = pair.src().nz();
 
-  const auto run_checked = [&](auto& kernel, const Tiling& tiling,
+  // One engine pass through `kernels` (one, or one per team thread),
+  // replayed by the re-execution rung while the monitor reports poison.
+  const auto run_checked = [&](auto kernels, const Tiling& tiling,
                                const TemporalSchedule& sched) -> fault::Status {
     for (int attempt = 0;; ++attempt) {
-      kernel.rebind(pair.src(), pair.dst());
-      kernel.set_integrity_pass(ictx.pass);
+      for (auto& kernel : kernels) {
+        kernel.rebind(pair.src(), pair.dst());
+        kernel.set_integrity_pass(ictx.pass);
+      }
       if (attempt == 0) {
-        engine.run_pass(kernel, tiling, sched);
+        engine.run_pass(kernels, tiling, sched);
       } else {
         const telemetry::ScopedPhase phase(0, telemetry::Phase::kRecovery);
-        engine.run_pass(kernel, tiling, sched);
+        engine.run_pass(kernels, tiling, sched);
       }
       if (!reexecute || !ictx.active() || !ictx.monitor->poisoned()) return {};
       if (tally != nullptr) ++tally->detected;
@@ -94,21 +102,38 @@ fault::Status run_passes(Pair& pair, int steps, const PassShape& shape,
     }
   };
 
-  // `count` consecutive passes of depth dt through one kernel.
+  // `count` consecutive passes of depth dt through one set of kernels: a
+  // single kernel, or one per team thread when the engine will run the
+  // tiling tile-per-thread. Rings are allocated here and first written by
+  // the thread that owns them during the first pass.
   const auto run_group = [&](int dt, int count) -> fault::Status {
     const Tiling tiling(nx, ny, shape.dim_x, shape.dim_y, shape.radius, dt);
     const TemporalSchedule sched(nz, shape.radius, dt, shape.serialized, shape.family,
                                  shape.diamond_width);
-    auto kernel =
-        make_kernel(pair.src(), pair.dst(), dt, sched.planes_per_instance(), ictx);
-    if constexpr (requires { kernel.set_paired_rows(true); })
-      kernel.set_paired_rows(shape.family == ScheduleFamily::kDeep35D);
-    for (int i = 0; i < count; ++i) {
-      if (fault::Status st = run_checked(kernel, tiling, sched); !st.ok()) return st;
-      pair.swap();
-      ++ictx.pass;
+    const auto build = [&] {
+      auto kernel =
+          make_kernel(pair.src(), pair.dst(), dt, sched.planes_per_instance(), ictx);
+      if constexpr (requires { kernel.set_paired_rows(true); })
+        kernel.set_paired_rows(shape.family == ScheduleFamily::kDeep35D);
+      return kernel;
+    };
+    using Kernel = decltype(build());
+    const auto run_all = [&](std::span<Kernel> kernels) -> fault::Status {
+      for (int i = 0; i < count; ++i) {
+        if (fault::Status st = run_checked(kernels, tiling, sched); !st.ok()) return st;
+        pair.swap();
+        ++ictx.pass;
+      }
+      return {};
+    };
+    if (!engine.tile_per_thread(tiling)) {
+      Kernel kernel = build();
+      return run_all(std::span<Kernel>(&kernel, 1));
     }
-    return {};
+    std::vector<Kernel> kernels;
+    kernels.reserve(static_cast<std::size_t>(engine.num_threads()));
+    for (int t = 0; t < engine.num_threads(); ++t) kernels.push_back(build());
+    return run_all(kernels);
   };
 
   if (const int full = steps / shape.dim_t; full > 0)

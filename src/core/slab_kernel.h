@@ -159,21 +159,21 @@ class SlabKernel {
     if (ictx_.watchdog) ictx_.watchdog->heartbeat(tid, p);
   }
 
-  void integrity_tile_begin(const Tile& /*tile*/, int tid) {
-    if (tid == 0 && ictx_.active() && ictx_.options.sentinels) sentinels_.reset();
+  void integrity_tile_begin(const Tile& /*tile*/, bool lead) {
+    if (lead && ictx_.active() && ictx_.options.sentinels) sentinels_.reset();
   }
 
-  // Fenced per-round slot (tid 0 does sentinel work; see engine.h). Rolls
-  // the sentinel table forward: record planes round m produced, then verify
-  // the planes round m+1 is about to overwrite — i.e. every resident plane
-  // (all C component sub-planes) is CRC-checked exactly once, when it
-  // retires (or at pass end).
+  // Fenced per-round slot (the kernel's lead thread does sentinel work; see
+  // engine.h). Rolls the sentinel table forward: record planes round m
+  // produced, then verify the planes round m+1 is about to overwrite — i.e.
+  // every resident plane (all C component sub-planes) is CRC-checked
+  // exactly once, when it retires (or at pass end).
   void integrity_round(const Tile& tile, const std::vector<std::vector<Step>>& rounds,
-                       long m, int tid) {
+                       long m, int tid, bool lead) {
     integrity_heartbeat(tid, telemetry::Phase::kAudit);
     if (ictx_.plan && ictx_.plan->stall_fires(ictx_.pass, tid))
       std::this_thread::sleep_for(std::chrono::milliseconds(ictx_.plan->stall_ms));
-    if (tid != 0 || !ictx_.active() || !ictx_.options.sentinels) return;
+    if (!lead || !ictx_.active() || !ictx_.options.sentinels) return;
     const telemetry::ScopedPhase phase(tid, telemetry::Phase::kAudit);
     const std::vector<Step>& round = rounds[static_cast<std::size_t>(m)];
     for (const Step& step : round) {
@@ -191,12 +191,12 @@ class SlabKernel {
         const int inst = ring_instance(step);
         if (inst < 0) continue;
         const integrity::RingSentinels::Entry e = sentinels_.take(inst, step.dst_slot);
-        if (e.valid) verify_entry(tile, inst, step.dst_slot, e);
+        if (e.valid) verify_entry(tile, inst, step.dst_slot, e, tid);
       }
     } else {
       sentinels_.for_each_valid(
           [&](int instance, int slot, const integrity::RingSentinels::Entry& e) {
-            verify_entry(tile, instance, slot, e);
+            verify_entry(tile, instance, slot, e, tid);
           });
       sentinels_.reset();
     }
@@ -377,7 +377,7 @@ class SlabKernel {
   }
 
   void verify_entry(const Tile& tile, int instance, int slot,
-                    const integrity::RingSentinels::Entry& e) {
+                    const integrity::RingSentinels::Entry& e, int tid) {
     ictx_.monitor->add_sentinel_checks(1);
     if (plane_crc(tile, instance, slot) == e.crc) return;
     integrity::SdcEvent ev;
@@ -387,7 +387,7 @@ class SlabKernel {
     ev.z = e.z;
     ev.detail = "resident plane CRC mismatch (instance " + std::to_string(instance) +
                 ", slot " + std::to_string(slot) + ", z " + std::to_string(e.z) + ")";
-    record(ev, 0);
+    record(ev, tid);
   }
 
   // Plane-flip injection: one bit of the plane loaded this round, flipped

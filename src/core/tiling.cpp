@@ -1,5 +1,8 @@
 #include "core/tiling.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/check.h"
 
 namespace s35::core {
@@ -64,6 +67,24 @@ double Tiling::measured_kappa() const {
   double loaded = 0.0;
   for (const Tile& t : tiles_) loaded += static_cast<double>(t.load.area());
   return loaded / (static_cast<double>(nx_) * static_cast<double>(ny_));
+}
+
+std::vector<int> assign_tiles(const Tiling& tiling, int threads) {
+  S35_CHECK(threads >= 1);
+  const std::vector<Tile>& tiles = tiling.tiles();
+  std::vector<std::size_t> order(tiles.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return tiles[a].load.area() > tiles[b].load.area();
+  });
+  std::vector<long> load(static_cast<std::size_t>(threads), 0);
+  std::vector<int> owner(tiles.size(), 0);
+  for (const std::size_t i : order) {
+    const auto least = std::min_element(load.begin(), load.end());
+    owner[i] = static_cast<int>(least - load.begin());
+    *least += tiles[i].load.area();
+  }
+  return owner;
 }
 
 }  // namespace s35::core

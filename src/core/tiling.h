@@ -80,4 +80,9 @@ class Tiling {
   std::vector<Tile> tiles_;
 };
 
+// Static tile-per-thread assignment: tiles go out largest load area first
+// (ties in tiling order), each to the thread with the least load area so
+// far (ties to the lowest tid). Returns the owning thread of every tile.
+std::vector<int> assign_tiles(const Tiling& tiling, int threads);
+
 }  // namespace s35::core

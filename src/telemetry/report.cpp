@@ -105,6 +105,11 @@ std::string to_json(const BenchRecord& rec) {
       .integer("dim_y", rec.dim_y)
       .integer("dim_t", rec.dim_t)
       .num("kappa", rec.kappa);
+  if (!rec.layout.empty()) {
+    blocking.str("layout", rec.layout)
+        .integer("rings", rec.rings)
+        .unsigned64("ring_bytes", rec.ring_bytes);
+  }
   Obj bpu;
   bpu.num("measured", rec.bytes_per_update_measured)
       .num("predicted_eq3", rec.bytes_per_update_predicted)

@@ -12,7 +12,11 @@
 //     "precision": "sp",                 // sp|dp
 //     "source": "measured",              // measured|model|simulated
 //     "grid": {"nx":.., "ny":.., "nz":.., "steps":..},
-//     "blocking": {"dim_x":.., "dim_y":.., "dim_t":.., "kappa":..},
+//     "blocking": {"dim_x":.., "dim_y":.., "dim_t":.., "kappa":..,
+//                  "layout":.., "rings":.., "ring_bytes":..},
+//                                        // layout ("cooperative" or "tile
+//                                        // per thread") and the engine's
+//                                        // rings: engine-run records only
 //     "threads": ..,
 //     "seconds": ..,                     // wall time of the measured run
 //     "mups": ..,  "glups": ..,          // million / billion updates per s
@@ -47,6 +51,7 @@
 // "not measured".
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -68,6 +73,12 @@ struct BenchRecord {
   int dim_t = 1;
   double kappa = 1.0;
   int threads = 1;
+
+  // Engine pass layout (core::PassLayout) and the rings it held; empty /
+  // zero when the measurement ran no engine pass.
+  std::string layout;
+  int rings = 0;
+  std::uint64_t ring_bytes = 0;
 
   double seconds = 0.0;
   double mups = 0.0;

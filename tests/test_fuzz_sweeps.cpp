@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "common/rng.h"
@@ -142,14 +143,17 @@ TEST(FuzzLbm, RandomConfigsMatchNaive) {
   }
 }
 
-// Tile-parallel ablation mode must agree with the default fine-grained
-// scheduling bit-for-bit.
-TEST(FuzzStencil, TileParallelModeMatches) {
+// The tile-per-thread layout (more tiles than threads, one ring per
+// thread) must agree with the cooperative layout of a one-thread engine
+// bit-for-bit.
+TEST(FuzzStencil, TilePerThreadLayoutMatches) {
   SplitMix64 rng(31415);
   for (int trial = 0; trial < 8; ++trial) {
     const long n = 24 + static_cast<long>(rng.below(24));
     const int dim_t = 1 + static_cast<int>(rng.below(3));
-    const long dim = std::max<long>(2 * dim_t + 2, 10 + static_cast<long>(rng.below(20)));
+    // dim < n: at least two tiles per axis, so four tiles for three threads.
+    const long dim = std::min<long>(
+        n - 1, std::max<long>(2 * dim_t + 2, 10 + static_cast<long>(rng.below(20))));
     const int steps = dim_t;  // single pass
     const std::uint64_t seed = rng.next_u64();
     const auto stencil = stencil::default_stencil7<float>();
@@ -158,21 +162,14 @@ TEST(FuzzStencil, TileParallelModeMatches) {
     a.src().fill_random(seed);
     b.src().fill_random(seed);
 
-    core::Engine35 engine(3);
     stencil::SweepConfig cfg;
     cfg.dim_t = dim_t;
     cfg.dim_x = dim;
-    stencil::run_sweep(stencil::Variant::kBlocked35D, stencil, a, steps, cfg, engine);
-
-    const core::Tiling tiling(n, n, dim, dim, 1, dim_t);
-    const core::TemporalSchedule sched(n, 1, dim_t);
-    engine.run_pass_tile_parallel(
-        [&] {
-          return stencil::StencilSlabKernel<stencil::Stencil7<float>, float>(
-              stencil, b.src(), b.dst(), dim, dim, dim_t, sched.planes_per_instance());
-        },
-        tiling, sched);
-    b.swap();
+    core::Engine35 one(1);
+    stencil::run_sweep(stencil::Variant::kBlocked35D, stencil, a, steps, cfg, one);
+    core::Engine35 engine(3);
+    stencil::run_sweep(stencil::Variant::kBlocked35D, stencil, b, steps, cfg, engine);
+    ASSERT_EQ(engine.last_pass().layout, core::PassLayout::kTilePerThread);
 
     ASSERT_EQ(grid::count_mismatches(a.src(), b.src()), 0)
         << "n=" << n << " dim=" << dim << " dt=" << dim_t;

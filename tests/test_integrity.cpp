@@ -351,6 +351,137 @@ TEST(Integrity, WatchdogHasNoFalsePositives) {
   EXPECT_EQ(mon.sdc_detected(), 0u);
 }
 
+// ---- the same fault kinds with more tiles than threads ----
+//
+// 32x32 planes at tile 12, dim_t 2 give 16 tiles for 4 threads, so every
+// pass runs tile-per-thread: each thread leads the sentinels of its own
+// kernel and there is no team barrier to park the other threads.
+
+constexpr long kTptN = 32;
+constexpr int kTptThreads = 4;
+
+SweepConfig tile_per_thread_cfg() {
+  SweepConfig cfg;
+  cfg.dim_t = 2;
+  cfg.dim_x = 12;
+  return cfg;
+}
+
+TEST(IntegrityTilePerThread, PlaneFlipDetectedAndRecovered) {
+  const int steps = 6;
+  const auto s = stencil::default_stencil7<float>();
+  core::Engine35 engine(kTptThreads);
+  SweepConfig cfg = tile_per_thread_cfg();
+  const grid::Grid3<float> ref = stencil_reference<stencil::Stencil7<float>, float>(
+      s, kTptN, kTptN, 24, steps, cfg, engine);
+  ASSERT_EQ(engine.last_pass().layout, core::PassLayout::kTilePerThread);
+
+  fault::FaultPlan plan(99);
+  plan.flip_pass = 0;
+  plan.flip_round = 2;
+  grid::GridPair<float> pair(kTptN, kTptN, 24);
+  pair.src().fill_random(4242, -1.0f, 1.0f);
+  integrity::IntegrityMonitor mon;
+  cfg.integrity.options.enabled = true;
+  cfg.integrity.options.sentinel_stride = 1;
+  cfg.integrity.options.guard_stride = 1;
+  cfg.integrity.monitor = &mon;
+  cfg.integrity.plan = &plan;
+  const fault::Status st =
+      run_sweep_verified(Variant::kBlocked35D, s, pair, steps, cfg, engine);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  EXPECT_EQ(engine.last_pass().layout, core::PassLayout::kTilePerThread);
+
+  EXPECT_EQ(plan.counters().plane_flips, 1u);
+  ASSERT_GE(mon.sdc_detected(), 1u);
+  const integrity::SdcEvent e = mon.events().front();
+  EXPECT_EQ(e.kind, integrity::SdcKind::kSentinel);
+  EXPECT_EQ(e.pass, 0u);
+  EXPECT_EQ(e.z, 2);  // whichever thread flipped, it flipped its round-2 plane
+  EXPECT_GE(e.tid, 0);
+  EXPECT_LT(e.tid, kTptThreads);
+  EXPECT_EQ(mon.reexecs(), 1u);
+  EXPECT_EQ(grid::count_mismatches(ref, pair.src()), 0);
+}
+
+TEST(IntegrityTilePerThread, WrongRowDetectedAndRecovered) {
+  const int steps = 6;
+  const auto s = stencil::default_stencil7<float>();
+  core::Engine35 engine(kTptThreads);
+  SweepConfig cfg = tile_per_thread_cfg();
+  const grid::Grid3<float> ref = stencil_reference<stencil::Stencil7<float>, float>(
+      s, kTptN, kTptN, 24, steps, cfg, engine);
+
+  fault::FaultPlan plan(17);
+  plan.wrong_row_pass = 1;
+  plan.wrong_row_z = 10;
+  plan.wrong_row_y = 12;
+  grid::GridPair<float> pair(kTptN, kTptN, 24);
+  pair.src().fill_random(4242, -1.0f, 1.0f);
+  integrity::IntegrityMonitor mon;
+  cfg.integrity.options.enabled = true;
+  cfg.integrity.options.audit_rate = 1.0;
+  cfg.integrity.monitor = &mon;
+  cfg.integrity.plan = &plan;
+  const fault::Status st =
+      run_sweep_verified(Variant::kBlocked35D, s, pair, steps, cfg, engine);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  EXPECT_EQ(engine.last_pass().layout, core::PassLayout::kTilePerThread);
+
+  EXPECT_EQ(plan.counters().wrong_rows, 1u);
+  ASSERT_GE(mon.sdc_detected(), 1u);
+  const integrity::SdcEvent e = mon.events().front();
+  EXPECT_EQ(e.kind, integrity::SdcKind::kAudit);
+  EXPECT_EQ(e.pass, 1u);
+  EXPECT_EQ(e.z, 10);
+  EXPECT_EQ(e.y, 12);
+  EXPECT_EQ(mon.reexecs(), 1u);
+  EXPECT_EQ(grid::count_mismatches(ref, pair.src()), 0);
+}
+
+TEST(IntegrityTilePerThread, StalledThreadAttributedWithoutPoisoning) {
+  const int steps = 4;
+  const auto s = stencil::default_stencil7<float>();
+  core::Engine35 engine(kTptThreads);
+  SweepConfig cfg = tile_per_thread_cfg();
+  const grid::Grid3<float> ref = stencil_reference<stencil::Stencil7<float>, float>(
+      s, kTptN, kTptN, 24, steps, cfg, engine);
+
+  fault::FaultPlan plan(3);
+  plan.stall_tid = 2;
+  plan.stall_pass = 0;
+  plan.stall_ms = 300;
+  grid::GridPair<float> pair(kTptN, kTptN, 24);
+  pair.src().fill_random(4242, -1.0f, 1.0f);
+  integrity::IntegrityMonitor mon;
+  integrity::Watchdog dog;
+  cfg.integrity.options.enabled = true;
+  cfg.integrity.options.watchdog_ms = 50;
+  cfg.integrity.monitor = &mon;
+  cfg.integrity.watchdog = &dog;
+  cfg.integrity.plan = &plan;
+  dog.arm(kTptThreads, 50, &mon);
+  const fault::Status st =
+      run_sweep_verified(Variant::kBlocked35D, s, pair, steps, cfg, engine);
+  dog.disarm();
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  EXPECT_EQ(engine.last_pass().layout, core::PassLayout::kTilePerThread);
+
+  EXPECT_EQ(plan.counters().thread_stalls, 1u);
+  ASSERT_GE(mon.stalls(), 1u);
+  // The straggler keeps its team tid; the other threads run on (or go idle)
+  // instead of parking at a barrier.
+  bool attributed = false;
+  for (const integrity::SdcEvent& e : mon.events())
+    if (e.kind == integrity::SdcKind::kStall && e.tid == 2 &&
+        e.phase != telemetry::Phase::kBarrierWait)
+      attributed = true;
+  EXPECT_TRUE(attributed);
+  EXPECT_EQ(mon.sdc_detected(), 0u);
+  EXPECT_EQ(mon.reexecs(), 0u);
+  EXPECT_EQ(grid::count_mismatches(ref, pair.src()), 0);
+}
+
 // ---- recovery ladder: sticky fault escalates to the checkpoint rung ----
 
 TEST(Integrity, StickyWrongRowEscalatesToCheckpointRestoreBitExact) {

@@ -14,6 +14,7 @@
 //                warm thread team + plan cache across jobs
 //   s35 plan-cache  dump/inspect/clear a persisted plan cache
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -21,7 +22,9 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -72,9 +75,27 @@ class Args {
       }
     }
   }
+  // Numeric flags must parse whole; anything else throws
+  // std::invalid_argument, which main() reports as a usage error.
   double num(const std::string& key, double fallback) const {
     const std::string* v = last(key);
-    return v ? std::atof(v->c_str()) : fallback;
+    if (v == nullptr) return fallback;
+    char* end = nullptr;
+    const double d = std::strtod(v->c_str(), &end);
+    if (v->empty() || *end != '\0') bad_value(key, *v, "a number");
+    return d;
+  }
+  // Integer flags parse exactly over T's whole range (a seed may be any
+  // uint64), never through a double.
+  template <typename T>
+  T integer(const std::string& key, T fallback) const {
+    const std::string* v = last(key);
+    if (v == nullptr) return fallback;
+    T out{};
+    const char* end = v->data() + v->size();
+    const auto [ptr, ec] = std::from_chars(v->data(), end, out);
+    if (ec != std::errc() || ptr != end) bad_value(key, *v, "an integer in range");
+    return out;
   }
   std::string str(const std::string& key, const std::string& fallback) const {
     const std::string* v = last(key);
@@ -95,6 +116,10 @@ class Args {
   }
 
  private:
+  [[noreturn]] static void bad_value(const std::string& key, const std::string& v,
+                                     const char* want) {
+    throw std::invalid_argument("--" + key + " wants " + want + ", got '" + v + "'");
+  }
   const std::string* last(const std::string& key) const {
     const std::string* found = nullptr;
     for (const auto& [k, v] : kv_)
@@ -137,7 +162,7 @@ int cmd_plan(const Args& args) {
     d.effective_dp_gops = d.peak_dp_gops;
     d.llc_bytes = static_cast<std::size_t>(args.num("cache", 8) * 1048576.0);
     d.blocking_capacity_bytes = d.llc_bytes / 2;
-    d.cores = static_cast<int>(args.num("cores", 4));
+    d.cores = args.integer<int>("cores", 4);
     print_plan(d);
     return 0;
   }
@@ -150,16 +175,16 @@ int cmd_plan(const Args& args) {
 int cmd_traffic(const Args& args) {
   const std::string kname = args.str("kernel", "7pt");
   memsim::TraceConfig cfg;
-  cfg.nx = cfg.ny = cfg.nz = static_cast<long>(args.num("n", 96));
-  cfg.steps = static_cast<int>(args.num("steps", 4));
+  cfg.nx = cfg.ny = cfg.nz = args.integer<long>("n", 96);
+  cfg.steps = args.integer<int>("steps", 4);
   cfg.elem_bytes = 4;
   cfg.radius = 1;
   cfg.cube_neighborhood = kname == "27pt";
   cfg.streaming_stores = args.flag("stream");
   cfg.cache.size_bytes =
       static_cast<std::uint64_t>(args.num("cache", 1) * 1048576.0);
-  cfg.dim_t = static_cast<int>(args.num("dimt", 2));
-  cfg.dim_x = cfg.dim_y = static_cast<long>(args.num("dim", 64));
+  cfg.dim_t = args.integer<int>("dimt", 2);
+  cfg.dim_x = cfg.dim_y = args.integer<long>("dim", 64);
 
   const bool lbm = kname == "lbm";
   Table t({"scheme", "B/update", "vs naive"});
@@ -214,7 +239,7 @@ int cmd_gpu(const Args&) {
 
 int cmd_tune(const Args& args) {
   memsim::TraceConfig base;
-  base.nx = base.ny = base.nz = static_cast<long>(args.num("n", 96));
+  base.nx = base.ny = base.nz = args.integer<long>("n", 96);
   base.steps = 4;
   base.elem_bytes = 4;
   base.radius = 1;
@@ -245,16 +270,17 @@ int cmd_tune(const Args& args) {
 // The final CRC32C over the logical grid lets shell tests compare a
 // resumed or fault-injected run against an uninterrupted one bit for bit.
 int cmd_run(const Args& args) {
-  const long n = static_cast<long>(args.num("n", 64));
-  const int steps = static_cast<int>(args.num("steps", 8));
-  int dim_t = static_cast<int>(args.num("dimt", 0));  // 0 = plan automatically
+  const long n = args.integer<long>("n", 64);
+  const int steps = args.integer<int>("steps", 8);
+  int dim_t = args.integer<int>("dimt", 0);  // 0 = plan automatically
   long dim_x = std::min<long>(n, 64);
-  const int ranks = static_cast<int>(args.num("ranks", 2));
-  const int threads = static_cast<int>(args.num("threads", 2));
-  const int ckpt_every = static_cast<int>(args.num("checkpoint-every", 0));
+  long dim_y = dim_x;
+  const int ranks = args.integer<int>("ranks", 2);
+  const int threads = args.integer<int>("threads", 2);
+  const int ckpt_every = args.integer<int>("checkpoint-every", 0);
   const std::string ckpt = args.str("ckpt", "s35_run.ckpt");
   const std::string resume = args.str("resume", "");
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.num("seed", 42));
+  const std::uint64_t seed = args.integer<std::uint64_t>("seed", 42);
   if (steps < 1) {
     std::fprintf(stderr, "--steps must be at least 1 (got %d)\n", steps);
     return 2;
@@ -282,6 +308,7 @@ int cmd_run(const Args& args) {
   // and dim_t through the plan cache — persisted across invocations when
   // --plan-cache is given, so repeat runs skip planning entirely.
   const std::string plan_cache_path = args.str("plan-cache", "");
+  std::string plan_line;  // printed after the run, with the engine's layout
   if (dim_t <= 0) {
     service::PlanCache cache;
     if (!plan_cache_path.empty()) {
@@ -291,7 +318,7 @@ int cmd_run(const Args& args) {
     }
     const machine::Descriptor mach = machine::host();
     const machine::KernelSig sig = machine::seven_point();
-    const int max_dim_t = static_cast<int>(args.num("max-dimt", 4));
+    const int max_dim_t = args.integer<int>("max-dimt", 4);
     const service::PlanKey key =
         service::PlanKey::make(mach, sig, n, n, n, max_dim_t, schedule_pref);
     const auto hit = cache.lookup(key);
@@ -304,11 +331,13 @@ int cmd_run(const Args& args) {
     }
     dim_t = plan.dim_t;
     dim_x = std::min<long>(plan.dim_x, n);
+    dim_y = std::min<long>(plan.dim_y > 0 ? plan.dim_y : plan.dim_x, n);
     dim_z = plan.dim_z;
     if (schedule_pref < 0) family = plan.family;
-    std::printf("plan: tile %ldx%ld dim_t %d schedule %s (%s%s)\n", plan.dim_x,
-                plan.dim_y, plan.dim_t, core::to_string(plan.family),
-                service::to_string(plan.source), hit ? ", cached" : "");
+    plan_line = "tile " + std::to_string(plan.dim_x) + "x" + std::to_string(plan.dim_y) +
+                " dim_t " + std::to_string(plan.dim_t) + " schedule " +
+                core::to_string(plan.family) + " (" + service::to_string(plan.source) +
+                (hit ? ", cached)" : ")");
     if (!plan_cache_path.empty()) {
       const fault::Status st = cache.save(plan_cache_path);
       if (!st.ok())
@@ -323,19 +352,19 @@ int cmd_run(const Args& args) {
   // corruption, and/or the SDC kinds (plane bit flip, wrong-result row,
   // stalled thread), all replayable from the seed.
   fault::FaultPlan plan(seed);
-  plan.fail_rank = static_cast<int>(args.num("fail-rank", -1));
-  plan.fail_at_pass = static_cast<std::int64_t>(args.num("fail-pass", -1));
+  plan.fail_rank = args.integer<int>("fail-rank", -1);
+  plan.fail_at_pass = args.integer<std::int64_t>("fail-pass", -1);
   plan.halo_corrupt_prob = args.num("halo-corrupt", 0.0);
-  plan.transient_attempts = static_cast<int>(args.num("transient-attempts", 2));
-  plan.flip_pass = static_cast<std::int64_t>(args.num("flip-pass", -1));
-  plan.flip_round = static_cast<std::int64_t>(args.num("flip-round", -1));
-  plan.flip_bit = static_cast<int>(args.num("flip-bit", 20));
-  plan.wrong_row_pass = static_cast<std::int64_t>(args.num("wrong-pass", -1));
-  plan.wrong_row_z = static_cast<long>(args.num("wrong-z", -1));
-  plan.wrong_row_y = static_cast<long>(args.num("wrong-y", -1));
-  plan.stall_tid = static_cast<int>(args.num("stall-tid", -1));
-  plan.stall_pass = static_cast<std::int64_t>(args.num("stall-pass", -1));
-  plan.stall_ms = static_cast<int>(args.num("stall-ms", 0));
+  plan.transient_attempts = args.integer<int>("transient-attempts", 2);
+  plan.flip_pass = args.integer<std::int64_t>("flip-pass", -1);
+  plan.flip_round = args.integer<std::int64_t>("flip-round", -1);
+  plan.flip_bit = args.integer<int>("flip-bit", 20);
+  plan.wrong_row_pass = args.integer<std::int64_t>("wrong-pass", -1);
+  plan.wrong_row_z = args.integer<long>("wrong-z", -1);
+  plan.wrong_row_y = args.integer<long>("wrong-y", -1);
+  plan.stall_tid = args.integer<int>("stall-tid", -1);
+  plan.stall_pass = args.integer<std::int64_t>("stall-pass", -1);
+  plan.stall_ms = args.integer<int>("stall-ms", 0);
   const bool sdc_faults =
       plan.flip_pass >= 0 || plan.wrong_row_pass >= 0 || plan.stall_tid >= 0;
   if (plan.fail_rank >= 0 || plan.halo_corrupt_prob > 0.0 || sdc_faults)
@@ -348,11 +377,11 @@ int cmd_run(const Args& args) {
   integrity::IntegrityOptions iopt;
   iopt.enabled = args.flag("audit");
   iopt.audit_rate = args.num("audit-rate", integrity::kDefaultAuditRate);
-  iopt.sentinel_stride = static_cast<int>(
-      args.num("sentinel-stride", integrity::kDefaultSentinelStride));
+  iopt.sentinel_stride =
+      args.integer<int>("sentinel-stride", integrity::kDefaultSentinelStride);
   iopt.guard_stride =
-      static_cast<int>(args.num("guard-stride", integrity::kDefaultGuardStride));
-  iopt.watchdog_ms = static_cast<int>(args.num("watchdog-ms", 0));
+      args.integer<int>("guard-stride", integrity::kDefaultGuardStride);
+  iopt.watchdog_ms = args.integer<int>("watchdog-ms", 0);
   integrity::IntegrityMonitor monitor;
   integrity::Watchdog watchdog;
   if (iopt.enabled || iopt.watchdog_ms > 0)
@@ -384,6 +413,7 @@ int cmd_run(const Args& args) {
   stencil::SweepConfig cfg;
   cfg.dim_t = dim_t;
   cfg.dim_x = dim_x;
+  cfg.dim_y = dim_y;
   cfg.dim_z = dim_z;
   cfg.family = family;
   core::Engine35 engine(threads);
@@ -395,6 +425,13 @@ int cmd_run(const Args& args) {
     std::fprintf(stderr, "run failed: %s\n", st.to_string().c_str());
     return 1;
   }
+
+  if (plan_line.empty())
+    plan_line = "tile " + std::to_string(dim_x) + "x" + std::to_string(dim_y) +
+                " dim_t " + std::to_string(dim_t) + " schedule " +
+                core::to_string(family) + " (pinned)";
+  std::printf("plan: %s | %s\n", plan_line.c_str(),
+              core::describe(engine.last_pass()).c_str());
 
   grid::Grid3<float> out(n, n, n);
   driver.gather(out);
@@ -447,23 +484,21 @@ extern "C" void serve_stop_handler(int) { g_serve_stop.store(true); }
 // worker-process plane (crash isolation + heartbeats + failover).
 int cmd_serve(const Args& args) {
   service::ServiceOptions opts = service::ServiceOptions::from_env();
-  opts.threads = static_cast<int>(args.num("threads", opts.threads));
-  opts.queue_capacity = static_cast<std::size_t>(
-      args.num("queue", static_cast<double>(opts.queue_capacity)));
+  opts.threads = args.integer<int>("threads", opts.threads);
+  opts.queue_capacity = args.integer<std::size_t>("queue", opts.queue_capacity);
   opts.plan_cache_path = args.str("plan-cache", opts.plan_cache_path);
-  opts.watchdog_ms = static_cast<int>(args.num("watchdog-ms", opts.watchdog_ms));
-  opts.max_dim_t = static_cast<int>(args.num("max-dimt", opts.max_dim_t));
+  opts.watchdog_ms = args.integer<int>("watchdog-ms", opts.watchdog_ms);
+  opts.max_dim_t = args.integer<int>("max-dimt", opts.max_dim_t);
   opts.tenancy.rate = args.num("tenant-rate", opts.tenancy.rate);
   opts.tenancy.burst = args.num("tenant-burst", opts.tenancy.burst);
   opts.tenancy.max_in_flight =
-      static_cast<int>(args.num("tenant-inflight", opts.tenancy.max_in_flight));
+      args.integer<int>("tenant-inflight", opts.tenancy.max_in_flight);
   opts.tenancy.queue_share = args.num("tenant-share", opts.tenancy.queue_share);
   opts.tenancy.brownout = args.num("brownout", opts.tenancy.brownout);
   opts.tenancy.quarantine_kills =
-      static_cast<int>(args.num("quarantine", opts.tenancy.quarantine_kills));
-  opts.tenancy.quarantine_cooldown_ms = static_cast<std::int64_t>(args.num(
-      "quarantine-cooldown-ms",
-      static_cast<double>(opts.tenancy.quarantine_cooldown_ms)));
+      args.integer<int>("quarantine", opts.tenancy.quarantine_kills);
+  opts.tenancy.quarantine_cooldown_ms = args.integer<std::int64_t>(
+      "quarantine-cooldown-ms", opts.tenancy.quarantine_cooldown_ms);
 
   // --tcp host:port turns the process into a cluster node: the same warm
   // JobService behind a TCP listener, speaking the supervisor's wire frames
@@ -493,11 +528,11 @@ int cmd_serve(const Args& args) {
     }
     cluster::NodeOptions nopt;
     nopt.name = host + ":" + std::to_string(bound);
-    nopt.beat_ms = static_cast<int>(args.num("beat-ms", nopt.beat_ms));
-    nopt.window = static_cast<int>(args.num("window", nopt.window));
+    nopt.beat_ms = args.integer<int>("beat-ms", nopt.beat_ms);
+    nopt.window = args.integer<int>("window", nopt.window);
     nopt.pull_timeout_ms =
-        static_cast<int>(args.num("pull-timeout-ms", nopt.pull_timeout_ms));
-    nopt.kill_at_pass = static_cast<long>(args.num("kill-pass", -1));
+        args.integer<int>("pull-timeout-ms", nopt.pull_timeout_ms);
+    nopt.kill_at_pass = args.integer<long>("kill-pass", -1);
     nopt.service = opts;
     std::signal(SIGTERM, serve_stop_handler);
     std::signal(SIGINT, serve_stop_handler);
@@ -517,31 +552,30 @@ int cmd_serve(const Args& args) {
   // with it off so a job admitted upstairs is never re-checked downstairs.
   sup.tenancy = opts.tenancy;
   sup.service.tenancy = service::TenancyOptions{};
-  const int workers = static_cast<int>(args.num("workers", sup.workers > 0 &&
-                                                std::getenv("S35_SERVE_WORKERS")
-                                                    ? sup.workers : 0));
+  const int workers = args.integer<int>(
+      "workers", sup.workers > 0 && std::getenv("S35_SERVE_WORKERS") ? sup.workers : 0);
   sup.workers = workers;
-  sup.beat_ms = static_cast<int>(args.num("beat-ms", sup.beat_ms));
-  sup.hang_ms = static_cast<int>(args.num("hang-ms", sup.hang_ms));
-  sup.max_restarts = static_cast<int>(args.num("max-restarts", sup.max_restarts));
+  sup.beat_ms = args.integer<int>("beat-ms", sup.beat_ms);
+  sup.hang_ms = args.integer<int>("hang-ms", sup.hang_ms);
+  sup.max_restarts = args.integer<int>("max-restarts", sup.max_restarts);
   sup.max_job_attempts =
-      static_cast<int>(args.num("max-job-attempts", sup.max_job_attempts));
+      args.integer<int>("max-job-attempts", sup.max_job_attempts);
   sup.checkpoint_dir = args.str("ckpt-dir", sup.checkpoint_dir);
   sup.checkpoint_every =
-      static_cast<int>(args.num("ckpt-every", sup.checkpoint_every));
+      args.integer<int>("ckpt-every", sup.checkpoint_every);
   sup.queue_capacity = opts.queue_capacity;
 
   // Deterministic process-fault injection (tests / soak): kill, stall, or
   // SDC-escalate a worker at a given pass of its current job.
-  fault::FaultPlan faults(static_cast<std::uint64_t>(args.num("seed", 42)));
-  faults.kill_worker = static_cast<int>(args.num("kill-worker", -1));
-  faults.kill_worker_pass = static_cast<std::int64_t>(args.num("kill-pass", -1));
-  faults.stall_worker = static_cast<int>(args.num("stall-worker", -1));
+  fault::FaultPlan faults(args.integer<std::uint64_t>("seed", 42));
+  faults.kill_worker = args.integer<int>("kill-worker", -1);
+  faults.kill_worker_pass = args.integer<std::int64_t>("kill-pass", -1);
+  faults.stall_worker = args.integer<int>("stall-worker", -1);
   faults.stall_worker_pass =
-      static_cast<std::int64_t>(args.num("stall-worker-pass", -1));
-  faults.stall_worker_ms = static_cast<int>(args.num("stall-worker-ms", 0));
-  faults.sdc_worker = static_cast<int>(args.num("sdc-worker", -1));
-  faults.sdc_worker_pass = static_cast<std::int64_t>(args.num("sdc-pass", -1));
+      args.integer<std::int64_t>("stall-worker-pass", -1);
+  faults.stall_worker_ms = args.integer<int>("stall-worker-ms", 0);
+  faults.sdc_worker = args.integer<int>("sdc-worker", -1);
+  faults.sdc_worker_pass = args.integer<std::int64_t>("sdc-pass", -1);
   if (faults.has_worker_faults()) sup.faults = &faults;
 
   std::unique_ptr<service::JobBackend> backend;
@@ -598,32 +632,30 @@ int cmd_route(const Args& args) {
                  "       (or S35_ROUTE_NODES=h1:p1,h2:p2)\n");
     return 2;
   }
-  opts.beat_ms = static_cast<int>(args.num("beat-ms", opts.beat_ms));
-  opts.hang_ms = static_cast<int>(args.num("hang-ms", opts.hang_ms));
-  opts.connect_timeout_ms = static_cast<int>(
-      args.num("connect-timeout-ms", opts.connect_timeout_ms));
-  opts.max_rejoins = static_cast<int>(args.num("max-rejoins", opts.max_rejoins));
+  opts.beat_ms = args.integer<int>("beat-ms", opts.beat_ms);
+  opts.hang_ms = args.integer<int>("hang-ms", opts.hang_ms);
+  opts.connect_timeout_ms =
+      args.integer<int>("connect-timeout-ms", opts.connect_timeout_ms);
+  opts.max_rejoins = args.integer<int>("max-rejoins", opts.max_rejoins);
   opts.max_job_attempts =
-      static_cast<int>(args.num("max-job-attempts", opts.max_job_attempts));
-  opts.vnodes = static_cast<int>(args.num("vnodes", opts.vnodes));
-  opts.window = static_cast<int>(args.num("window", opts.window));
+      args.integer<int>("max-job-attempts", opts.max_job_attempts);
+  opts.vnodes = args.integer<int>("vnodes", opts.vnodes);
+  opts.window = args.integer<int>("window", opts.window);
   opts.checkpoint_dir = args.str("ckpt-dir", opts.checkpoint_dir);
   opts.checkpoint_every =
-      static_cast<int>(args.num("ckpt-every", opts.checkpoint_every));
-  opts.queue_capacity = static_cast<std::size_t>(
-      args.num("queue", static_cast<double>(opts.queue_capacity)));
+      args.integer<int>("ckpt-every", opts.checkpoint_every);
+  opts.queue_capacity = args.integer<std::size_t>("queue", opts.queue_capacity);
   opts.plan_cache_path = args.str("plan-cache", opts.plan_cache_path);
   opts.tenancy.rate = args.num("tenant-rate", opts.tenancy.rate);
   opts.tenancy.burst = args.num("tenant-burst", opts.tenancy.burst);
   opts.tenancy.max_in_flight =
-      static_cast<int>(args.num("tenant-inflight", opts.tenancy.max_in_flight));
+      args.integer<int>("tenant-inflight", opts.tenancy.max_in_flight);
   opts.tenancy.queue_share = args.num("tenant-share", opts.tenancy.queue_share);
   opts.tenancy.brownout = args.num("brownout", opts.tenancy.brownout);
   opts.tenancy.quarantine_kills =
-      static_cast<int>(args.num("quarantine", opts.tenancy.quarantine_kills));
-  opts.tenancy.quarantine_cooldown_ms = static_cast<std::int64_t>(args.num(
-      "quarantine-cooldown-ms",
-      static_cast<double>(opts.tenancy.quarantine_cooldown_ms)));
+      args.integer<int>("quarantine", opts.tenancy.quarantine_kills);
+  opts.tenancy.quarantine_cooldown_ms = args.integer<std::int64_t>(
+      "quarantine-cooldown-ms", opts.tenancy.quarantine_cooldown_ms);
 
   cluster::Router router(opts);
   std::fprintf(stderr,
@@ -696,7 +728,7 @@ int cmd_plan_cache(const Args& args) {
 }
 
 int cmd_wavefront(const Args& args) {
-  const long n = static_cast<long>(args.num("n", 128));
+  const long n = args.integer<long>("n", 128);
   Table t({"grid", "wavefront peak (pts)", "2.5D planes (pts)", "64^2 tile buffer"});
   t.add_row({std::to_string(n) + "^3",
              std::to_string(core::wavefront_peak_working_set(n, n, n, 1)),
@@ -707,11 +739,7 @@ int cmd_wavefront(const Args& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const std::string cmd = argc > 1 ? argv[1] : "";
-  const Args args(argc, argv, 2);
+int dispatch(const std::string& cmd, const Args& args) {
   if (cmd == "plan") return cmd_plan(args);
   if (cmd == "traffic") return cmd_traffic(args);
   if (cmd == "gpu") return cmd_gpu(args);
@@ -721,6 +749,20 @@ int main(int argc, char** argv) {
   if (cmd == "serve") return cmd_serve(args);
   if (cmd == "route") return cmd_route(args);
   if (cmd == "plan-cache") return cmd_plan_cache(args);
+  return -1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  const Args args(argc, argv, 2);
+  try {
+    if (const int rc = dispatch(cmd, args); rc >= 0) return rc;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "s35 %s: %s\n", cmd.c_str(), e.what());
+    return 2;
+  }
   std::puts(
       "usage: s35 <plan|traffic|gpu|tune|wavefront|run|serve|route|plan-cache> [options]\n"
       "  plan      blocking parameters (eqs. 1-4) for presets/host or\n"
